@@ -60,17 +60,13 @@ SRC_BASE = 0x0200_0000
 BENCH_TLB_ENTRIES = 64
 
 
-def build_nucleus(backend: str, cluster=None, io_threads: int = 0,
-                  arbiter=None):
+def build_nucleus(backend: str, cluster=None, arbiter=None):
     """A fresh Nucleus on SUN-3/60-calibrated hardware for *backend*
     (``pvm``, ``mach`` or ``minimal``).
 
     *cluster* is a fault-clustering policy spec (``off`` / ``fixed`` /
     ``adaptive`` / None); read-ahead is charge-replayed, so it changes
-    wall time and upcall counts but never virtual time.  *io_threads*
-    sizes the manager's I/O scheduler pool (0 = the synchronous
-    pass-through); charges land at submit time, so this knob too moves
-    wall time and queue counters but never virtual time.  *arbiter* is
+    wall time and upcall counts but never virtual time.  *arbiter* is
     a :class:`repro.pressure.FrameArbiter` for the manager's cache
     engine (None = a fresh inert arbiter, the legacy behaviour).
     """
@@ -87,14 +83,14 @@ def build_nucleus(backend: str, cluster=None, io_threads: int = 0,
     return Nucleus(vm_class=vm_class, cost_model=cost_model,
                    memory_size=SUN360_MEMORY, page_size=SUN360_PAGE,
                    tlb_entries=BENCH_TLB_ENTRIES, cluster_policy=cluster,
-                   io_threads=io_threads, arbiter=arbiter)
+                   arbiter=arbiter)
 
 
 @dataclass(frozen=True)
 class Workload:
     """One named benchmark: untimed *setup*, measured *body*.
 
-    ``setup(backend, cluster, io_threads)`` returns a state dict that
+    ``setup(backend, cluster)`` returns a state dict that
     must carry ``clock`` (the virtual clock the body charges) and
     ``vm`` (the manager whose metrics are snapshotted); ``body(state)``
     runs the measured mechanism.
@@ -109,18 +105,16 @@ class Workload:
 
 # -- workload definitions -------------------------------------------------------
 
-def _nucleus_state(backend: str, cluster=None, io_threads: int = 0,
-                   arbiter=None, **extra) -> dict:
-    nucleus = build_nucleus(backend, cluster=cluster, io_threads=io_threads,
-                            arbiter=arbiter)
+def _nucleus_state(backend: str, cluster=None, arbiter=None,
+                   **extra) -> dict:
+    nucleus = build_nucleus(backend, cluster=cluster, arbiter=arbiter)
     state = {"nucleus": nucleus, "vm": nucleus.vm, "clock": nucleus.clock}
     state.update(extra)
     return state
 
 
-def _zero_fill_setup(backend: str, cluster=None,
-                     io_threads: int = 0) -> dict:
-    state = _nucleus_state(backend, cluster, io_threads)
+def _zero_fill_setup(backend: str, cluster=None) -> dict:
+    state = _nucleus_state(backend, cluster)
     state["actor"] = state["nucleus"].create_actor("bench")
     return state
 
@@ -135,9 +129,8 @@ def _zero_fill_body(state: dict) -> None:
     nucleus.rgn_free(actor, region)
 
 
-def _seq_stream_setup(backend: str, cluster=None,
-                      io_threads: int = 0) -> dict:
-    state = _nucleus_state(backend, cluster, io_threads)
+def _seq_stream_setup(backend: str, cluster=None) -> dict:
+    state = _nucleus_state(backend, cluster)
     nucleus = state["nucleus"]
     state["actor"] = nucleus.create_actor("bench")
     state["region"] = nucleus.rgn_allocate(state["actor"], 512 * KB,
@@ -158,9 +151,8 @@ def _seq_stream_body(state: dict) -> None:
             actor.read(REGION_BASE + position, span)
 
 
-def _random_touch_setup(backend: str, cluster=None,
-                        io_threads: int = 0) -> dict:
-    state = _seq_stream_setup(backend, cluster, io_threads)
+def _random_touch_setup(backend: str, cluster=None) -> dict:
+    state = _seq_stream_setup(backend, cluster)
     state["region"].advice = "random"
     return state
 
@@ -179,10 +171,10 @@ def _random_touch_body(state: dict) -> None:
                         b"\x01")
 
 
-def _cow_setup(backend: str, cluster=None, io_threads: int = 0) -> dict:
+def _cow_setup(backend: str, cluster=None) -> dict:
     # "The source region is created and allocated before starting the
     # measurement" — a 256 KB source, fully written.
-    state = _nucleus_state(backend, cluster, io_threads)
+    state = _nucleus_state(backend, cluster)
     nucleus = state["nucleus"]
     actor = nucleus.create_actor("bench")
     page_size = nucleus.vm.page_size
@@ -219,9 +211,8 @@ def _cow_chain_body(state: dict) -> None:
     fork_exit_chain(state["nucleus"], generations=6, collapse=True)
 
 
-def _pageout_setup(backend: str, cluster=None,
-                   io_threads: int = 0) -> dict:
-    state = _nucleus_state(backend, cluster, io_threads)
+def _pageout_setup(backend: str, cluster=None) -> dict:
+    state = _nucleus_state(backend, cluster)
     nucleus = state["nucleus"]
     vm = nucleus.vm
     cache = nucleus.segment_manager.create_temporary("pageout-data")
@@ -237,10 +228,10 @@ def _pageout_body(state: dict) -> None:
     state["vm"].reclaim_frames(32)
 
 
-def _dsm_setup(backend: str, cluster=None, io_threads: int = 0) -> dict:
+def _dsm_setup(backend: str, cluster=None) -> dict:
     # DSM sites build their own nuclei; coherence traffic is strictly
-    # page-at-a-time and in-process (no mapper I/O), so neither the
-    # clustering nor the io_threads knob applies here.
+    # page-at-a-time and in-process (no mapper I/O), so clustering
+    # does not apply here.
     from repro.dsm.site import make_dsm_cluster
 
     manager, sites = make_dsm_cluster(["a", "b"], segment_pages=4,
@@ -260,11 +251,10 @@ def _dsm_body(state: dict) -> None:
         site_a.read(0, 1)
 
 
-def _segment_scan_setup(backend: str, cluster=None,
-                        io_threads: int = 0) -> dict:
+def _segment_scan_setup(backend: str, cluster=None) -> dict:
     from repro.segments.mem_mapper import MemoryMapper
 
-    state = _nucleus_state(backend, cluster, io_threads)
+    state = _nucleus_state(backend, cluster)
     nucleus = state["nucleus"]
     page_size = nucleus.vm.page_size
     mapper = MemoryMapper()
@@ -286,11 +276,10 @@ def _segment_scan_body(state: dict) -> None:
         cache.read(index * page_size, 8 * page_size)
 
 
-def _writeback_storm_setup(backend: str, cluster=None,
-                           io_threads: int = 0) -> dict:
+def _writeback_storm_setup(backend: str, cluster=None) -> dict:
     from repro.cache.writeback import WritebackDaemon
 
-    state = _nucleus_state(backend, cluster, io_threads)
+    state = _nucleus_state(backend, cluster)
     nucleus = state["nucleus"]
     vm = nucleus.vm
     cache = nucleus.segment_manager.create_temporary("storm-data")
@@ -325,9 +314,8 @@ HUGE_MAP_PAGES = 1_000_000
 HUGE_MAP_TOUCHES = 64
 
 
-def _huge_map_setup(backend: str, cluster=None,
-                    io_threads: int = 0) -> dict:
-    state = _nucleus_state(backend, cluster, io_threads)
+def _huge_map_setup(backend: str, cluster=None) -> dict:
+    state = _nucleus_state(backend, cluster)
     state["actor"] = state["nucleus"].create_actor("bench")
     return state
 
@@ -364,7 +352,7 @@ STORM_BUDGET = 960
 STORM_FLOOR = 8
 
 
-def _tenant_storm_setup(backend: str, cluster=None, io_threads: int = 0,
+def _tenant_storm_setup(backend: str, cluster=None,
                         arbitrated: bool = True) -> dict:
     from repro.pressure import (
         AdmissionController, BalancerDaemon, FrameArbiter,
@@ -378,7 +366,7 @@ def _tenant_storm_setup(backend: str, cluster=None, io_threads: int = 0,
             ws=WorkingSetEstimator(),
             qos=AdmissionController(window_ms=10.0, fault_limit=64),
         )
-    state = _nucleus_state(backend, cluster, io_threads, arbiter=arbiter)
+    state = _nucleus_state(backend, cluster, arbiter=arbiter)
     nucleus, vm = state["nucleus"], state["vm"]
     page_size = vm.page_size
     tenants = []
@@ -451,10 +439,10 @@ def _compiled_trace(kind: str):
 
 
 def _trace_replay_setup(kind: str):
-    def setup(backend: str, cluster=None, io_threads: int = 0) -> dict:
+    def setup(backend: str, cluster=None) -> dict:
         from repro.hardware.vbus import VectorBus
 
-        state = _nucleus_state(backend, cluster, io_threads)
+        state = _nucleus_state(backend, cluster)
         nucleus, vm = state["nucleus"], state["vm"]
         page_size = vm.page_size
         actor = nucleus.create_actor("bench")
@@ -549,23 +537,8 @@ WORKLOADS: Dict[str, Workload] = {
 
 # -- recording -----------------------------------------------------------------
 
-def _retire_io(state: dict) -> None:
-    """Drain and stop the state's I/O scheduler, if it has one.
-
-    Called *outside* the timed window: the wall number measures how
-    long the workload body itself ran — deferred write-behind bytes
-    draining afterwards is exactly the latency the scheduler moved off
-    the critical path.  Closing between repeats keeps pool threads
-    from piling up across the suite.
-    """
-    io = getattr(state["vm"], "io", None)
-    if io is not None:
-        io.flush()
-        io.close()
-
-
 def run_workload(workload: Workload, backend: str, repeats: int = 3,
-                 cluster=None, io_threads: int = 0) -> dict:
+                 cluster=None) -> dict:
     """One (workload, backend) cell: best-of-*repeats* wall time, the
     deterministic virtual time, and a full metrics snapshot."""
     if backend not in workload.backends:
@@ -576,7 +549,7 @@ def run_workload(workload: Workload, backend: str, repeats: int = 3,
     # idle fast path — so wall time measures the mechanisms, not the
     # bookkeeping.  Virtual time is deterministic either way.
     for _ in range(repeats):
-        state = workload.setup(backend, cluster, io_threads)
+        state = workload.setup(backend, cluster)
         registry = state["vm"].probe.registry
         registry.enabled = False
         # Sweep the previous repeat's garbage before the timer starts
@@ -594,21 +567,13 @@ def run_workload(workload: Workload, backend: str, repeats: int = 3,
             if gc_was_enabled:
                 gc.enable()
             registry.enabled = True
-            _retire_io(state)
     # One untimed instrumented pass supplies the golden virtual time
     # and the full metrics snapshot.
-    state = workload.setup(backend, cluster, io_threads)
+    state = workload.setup(backend, cluster)
     with ClockRegion(state["clock"]) as timer:
         workload.body(state)
     virtual_ms = timer.elapsed
-    io = getattr(state["vm"], "io", None)
-    if io is not None:
-        # Snapshot a drained queue (depth gauge 0; the peak and the
-        # coalesce rate survive), then stop the pool.
-        io.flush()
     metrics = state["vm"].metrics_snapshot()
-    if io is not None:
-        io.close()
     return {
         "workload": workload.name,
         "backend": backend,
@@ -624,17 +589,14 @@ def run_suite(workloads: Optional[Sequence[str]] = None,
               backends: Optional[Sequence[str]] = None,
               repeats: int = 3,
               label: Optional[str] = None,
-              cluster: Optional[str] = "adaptive",
-              io_threads: int = 2) -> dict:
+              cluster: Optional[str] = "adaptive") -> dict:
     """Run the named suite; returns the recordable result document.
 
     *cluster* selects the fault-clustering policy the managers run
     with (``"adaptive"`` by default — the shipping configuration;
     pass ``"off"``/None for the one-page-per-fault baseline).
-    *io_threads* sizes the I/O scheduler pool (default 2 — the
-    shipping configuration; 0 is the synchronous pass-through).
-    Virtual times are identical either way; wall time, upcall counts
-    and queue counters are what the knobs move.
+    Virtual times are identical either way; wall time and upcall
+    counts are what the knob moves.
     """
     names = list(workloads) if workloads else list(WORKLOADS)
     unknown = [name for name in names if name not in WORKLOADS]
@@ -654,11 +616,10 @@ def run_suite(workloads: Optional[Sequence[str]] = None,
             if backend not in workload.backends:
                 continue
             results.append(run_workload(workload, backend, repeats=repeats,
-                                        cluster=cluster,
-                                        io_threads=io_threads))
+                                        cluster=cluster))
     document = {
         "meta": {"version": RESULT_VERSION, "repeats": repeats,
-                 "cluster": cluster or "off", "io_threads": io_threads},
+                 "cluster": cluster or "off"},
         "results": results,
     }
     if label:
@@ -669,12 +630,10 @@ def run_suite(workloads: Optional[Sequence[str]] = None,
 def record(path, workloads: Optional[Sequence[str]] = None,
            backends: Optional[Sequence[str]] = None,
            repeats: int = 3, label: Optional[str] = None,
-           cluster: Optional[str] = "adaptive",
-           io_threads: int = 2) -> dict:
+           cluster: Optional[str] = "adaptive") -> dict:
     """Run the suite, validate the document, write it to *path*."""
     document = run_suite(workloads=workloads, backends=backends,
-                         repeats=repeats, label=label, cluster=cluster,
-                         io_threads=io_threads)
+                         repeats=repeats, label=label, cluster=cluster)
     errors = validate(document, BENCH_RESULT_SCHEMA)
     if errors:
         raise ValueError("recorded document violates BENCH_RESULT_SCHEMA: "
@@ -702,11 +661,9 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
     deterministic — so any drift means the mechanisms changed), but
     only wall time gates.  Each row also carries the cell's TLB hit
     rate and memory-stall share (``psi.memory.some.total_ms`` over the
-    cell's virtual time) on both sides, the current cell's I/O-queue
-    depth peak and coalesce rate (None when that recording predates
-    those gauges), and — for trace-replay cells, which record a
-    ``trace.accesses`` gauge — replayed accesses per second of wall
-    time on both sides.
+    cell's virtual time) on both sides, and — for trace-replay cells,
+    which record a ``trace.accesses`` gauge — replayed accesses per
+    second of wall time on both sides.
     """
     baseline_cells = {(cell["workload"], cell["backend"]): cell
                       for cell in baseline["results"]}
@@ -726,10 +683,6 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
                          "tlb_hit_rate": _tlb_hit_rate(cell),
                          "baseline_stall_fraction": None,
                          "stall_fraction": _stall_fraction(cell),
-                         "io_depth_peak": _gauge(cell,
-                                                 "io.queue.depth_peak"),
-                         "io_coalesce_rate":
-                             _gauge(cell, "io.queue.coalesce_rate"),
                          "baseline_accesses_per_s": None,
                          "accesses_per_s": _access_rate(cell)})
             continue
@@ -752,8 +705,6 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
                "tlb_hit_rate": _tlb_hit_rate(cell),
                "baseline_stall_fraction": _stall_fraction(base),
                "stall_fraction": _stall_fraction(cell),
-               "io_depth_peak": _gauge(cell, "io.queue.depth_peak"),
-               "io_coalesce_rate": _gauge(cell, "io.queue.coalesce_rate"),
                "baseline_accesses_per_s": _access_rate(base),
                "accesses_per_s": _access_rate(cell)}
         rows.append(row)
@@ -772,8 +723,6 @@ def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
                          "baseline_stall_fraction":
                              _stall_fraction(baseline_cells[key]),
                          "stall_fraction": None,
-                         "io_depth_peak": None,
-                         "io_coalesce_rate": None,
                          "baseline_accesses_per_s":
                              _access_rate(baseline_cells[key]),
                          "accesses_per_s": None})
@@ -832,12 +781,9 @@ def format_compare(report: dict) -> str:
     """Render a compare report as the per-workload delta table."""
     headers = ("workload", "backend", "base ms", "now ms", "ratio",
                "vdrift ms", "tlb base", "tlb now", "stall base",
-               "stall now", "ioq peak", "coalesce", "acc/s base",
-               "acc/s now", "status")
+               "stall now", "acc/s base", "acc/s now", "status")
     table = [headers]
     for row in report["rows"]:
-        depth_peak = row.get("io_depth_peak")
-        coalesce = row.get("io_coalesce_rate")
         table.append((
             row["workload"],
             row["backend"],
@@ -852,8 +798,6 @@ def format_compare(report: dict) -> str:
             _format_hit_rate(row.get("tlb_hit_rate")),
             _format_hit_rate(row.get("baseline_stall_fraction")),
             _format_hit_rate(row.get("stall_fraction")),
-            "-" if depth_peak is None else f"{depth_peak:.0f}",
-            _format_hit_rate(coalesce),
             _format_rate(row.get("baseline_accesses_per_s")),
             _format_rate(row.get("accesses_per_s")),
             row["status"],
@@ -890,7 +834,6 @@ BENCH_RESULT_SCHEMA = {
                 "repeats": {"type": "integer", "minimum": 1},
                 "label": {"type": "string"},
                 "cluster": {"type": "string"},
-                "io_threads": {"type": "integer", "minimum": 0},
             },
         },
         "results": {

@@ -116,16 +116,13 @@ class CacheEngine:
 
     # -- mapper I/O --------------------------------------------------------------
 
-    def pull(self, cache, offset: int, size: int, mode,
-             readahead: bool = False) -> None:
+    def pull(self, cache, offset: int, size: int, mode) -> None:
         """Drive pullIn for ``[offset, offset+size)``.
 
         Charges per-page costs and counters exactly as the page-at-a-
         time path always did, then upcalls the provider — once for the
         whole range when it declares ``batched``, else once per page.
         The caller owns synchronization stubs (and their cleanup).
-        *readahead* classifies mapper traffic the upcall generates
-        (speculative pulls rank below demand in the I/O scheduler).
         """
         vm = self.vm
         page_size = vm.page_size
@@ -158,26 +155,25 @@ class CacheEngine:
                 if span:
                     span.set(cache=cache.name, offset=offset,
                              mode=mode_label, pages=pages)
-                with self._classify(vm, readahead=readahead):
-                    if pages == 1 or getattr(cache.provider, "batched",
-                                             False):
-                        cache.provider.pull_in(cache, offset, size, mode)
-                    else:
-                        for index in range(pages):
-                            cache.provider.pull_in(
-                                cache, offset + index * page_size,
-                                page_size, mode)
+                if pages == 1 or getattr(cache.provider, "batched",
+                                         False):
+                    cache.provider.pull_in(cache, offset, size, mode)
+                else:
+                    for index in range(pages):
+                        cache.provider.pull_in(
+                            cache, offset + index * page_size,
+                            page_size, mode)
 
     def push(self, cache, offset: int, size: int,
              reason: str = "flush") -> None:
         """Drive pushOut for ``[offset, offset+size)`` and clean the
         resident pages it covers.
 
-        Per-page costs and statistics are unchanged (charges land here,
-        at submit, never on a pool thread); a batched provider gets one
-        ranged upcall.  Writebacks and evictions ride write-behind when
-        the bounded queue has room — the one case the caller stalls on
-        its own bytes is a full queue (backpressure).
+        Per-page costs and statistics are unchanged; a batched
+        provider gets one ranged upcall.  The upcall runs to completion
+        on this thread, and the pages are marked clean only after it
+        returns: a page is clean only once its bytes have landed, so a
+        mapper error reaches the caller with the whole run still dirty.
         """
         vm = self.vm
         page_size = vm.page_size
@@ -191,55 +187,20 @@ class CacheEngine:
         board = getattr(vm, "pressure", None)
         if board is not None:
             board.pushed(pages)
-        token = None
-        backpressure = False
-        io = getattr(vm, "io", None)
-        if io is not None and io.threads and reason in ("writeback",
-                                                        "evict"):
-            queue = getattr(vm, "write_behind", None)
-            if queue is not None:
-                token = queue.offer(pages)
-                # A full write-behind queue turns this pushOut
-                # synchronous: the producer stalls on its own bytes.
-                backpressure = token is None
-        stall = (board.stall("writeback")
-                 if board is not None and backpressure else nullcontext())
-        # The push span is what deferred byte-halves re-parent under
-        # (the scheduler captures the span context at submit).
-        with probe.span("cache.push_out") as span, stall:
+        with probe.span("cache.push_out") as span:
             if span:
                 span.set(cache=cache.name, offset=offset, pages=pages,
                          reason=reason)
-            with self._classify(vm, write_behind=token is not None,
-                                on_done=None if token is None
-                                else token.complete):
-                if pages == 1 or getattr(cache.provider, "batched", False):
-                    cache.provider.push_out(cache, offset, size)
-                else:
-                    for index in range(pages):
-                        cache.provider.push_out(
-                            cache, offset + index * page_size, page_size)
+            if pages == 1 or getattr(cache.provider, "batched", False):
+                cache.provider.push_out(cache, offset, size)
+            else:
+                for index in range(pages):
+                    cache.provider.push_out(
+                        cache, offset + index * page_size, page_size)
         for index in range(pages):
             resident = cache.pages.get(offset + index * page_size)
             if resident is not None:
                 resident.dirty = False
-
-    @staticmethod
-    def _classify(vm, readahead: bool = False, write_behind: bool = False,
-                  on_done=None):
-        """A scheduler classification scope for one upcall (duck-typed
-        through ``vm.io`` — the engine facade owns the scheduler type;
-        a null context when the manager has no scheduler)."""
-        io = getattr(vm, "io", None)
-        if io is None:
-            return nullcontext()
-        if write_behind:
-            priority = io.WRITE_BEHIND
-        elif readahead:
-            priority = io.READAHEAD
-        else:
-            priority = io.DEMAND
-        return io.classify(priority, on_done=on_done)
 
     # -- eviction ----------------------------------------------------------------
 

@@ -15,14 +15,12 @@ Both take arbitrary byte ranges: a ranged pushOut of 32 pages is one
 ``write_range`` call, which is what makes batched mapper I/O a
 per-mapper no-op.
 
-The concurrent I/O scheduler (``repro.engine``) splits the protocol
-into a submit-time half and a byte half: :meth:`~BaseMapper.
-prepare_write` (counting + read-modify-write + :meth:`~BaseMapper.
-charge_write`) and :meth:`~BaseMapper.charge_read` always run on the
-submitting kernel thread in program order — virtual time is float
-accumulation, so charge *order* is the determinism invariant — while
-``read_range`` / ``write_range`` are charge-free store access that a
-pool thread may execute later.
+The protocol is split into a charging half and a byte half:
+:meth:`~BaseMapper.prepare_write` (counting + read-modify-write +
+:meth:`~BaseMapper.charge_write`) and :meth:`~BaseMapper.charge_read`
+carry every virtual-clock charge, while ``read_range`` /
+``write_range`` are charge-free store access.  Virtual time is float
+accumulation, so charge *order* is what keeps runs bit-identical.
 
 Layer contract (rule 4): mappers depend only on ``repro.cache``
 interfaces — this module imports no backend and no ``repro.segments``
@@ -38,13 +36,6 @@ from repro.errors import CapabilityError
 
 class BaseMapper:
     """Base mapper: serves segment reads and writes by key."""
-
-    #: True when the mapper honours the submit/drain split
-    #: (``charge_*`` + ``*_range``).  Proxies that forward the whole
-    #: read/write protocol elsewhere (the remote-mapper stub) set this
-    #: False; the I/O scheduler then routes them opaquely — the full
-    #: segment ops, inline, never deferred.
-    split_io = True
 
     def __init__(self, port: str, page_size: Optional[int] = None):
         #: Port name under which the mapper is registered.
@@ -73,14 +64,10 @@ class BaseMapper:
 
     def prepare_write(self, key: int, offset: int,
                       data: bytes) -> "tuple[int, bytes]":
-        """The submit-time half of :meth:`write_segment`: request
+        """The charging half of :meth:`write_segment`: request
         accounting, the partial-page read-modify-write and the cost
-        charges, returning the aligned ``(offset, data)`` for a later
-        (possibly deferred) :meth:`write_range`.
-
-        The I/O scheduler calls this on the submitting kernel thread
-        so virtual charges land in program order even when the byte
-        half runs on a pool thread."""
+        charges, returning the aligned ``(offset, data)`` that
+        :meth:`write_range` then stores."""
         self.write_requests += 1
         data = bytes(data)
         page = self.page_size
@@ -98,32 +85,29 @@ class BaseMapper:
         """Current size of segment *key* in bytes."""
         raise NotImplementedError
 
-    # -- the cost hooks (submit-time) -------------------------------------------
+    # -- the cost hooks -----------------------------------------------------------
 
     def charge_read(self, key: int, offset: int, size: int) -> None:
         """Charge the virtual cost of reading the range (latency
-        models).  Runs on the submitting thread, before
-        :meth:`read_range`; the default store is free."""
+        models).  Runs before :meth:`read_range`; the default store
+        is free."""
 
     def charge_write(self, key: int, offset: int, size: int) -> None:
         """Charge the virtual cost of writing the range, and fix any
         store placement the charges depend on (block allocation).
-        Runs on the submitting thread; the default store is free."""
+        The default store is free."""
 
     # -- the store primitive ----------------------------------------------------
 
     def read_range(self, key: int, offset: int, size: int) -> bytes:
         """Produce the bytes of ``[offset, offset+size)`` from the
         store; unwritten and past-EOF bytes read as zeroes.  Charge-
-        free (costs live in :meth:`charge_read`): the I/O scheduler
-        may run this on a pool thread."""
+        free (costs live in :meth:`charge_read`)."""
         raise NotImplementedError
 
     def write_range(self, key: int, offset: int, data: bytes) -> None:
         """Persist *data* at *offset*, growing the segment as needed.
-        Charge-free (costs live in :meth:`charge_write`): the I/O
-        scheduler may run this on a pool thread, and coalescing may
-        merge several prepared writes into one call."""
+        Charge-free (costs live in :meth:`charge_write`)."""
         raise NotImplementedError
 
     # -- default-mapper extension ---------------------------------------------------

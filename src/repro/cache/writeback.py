@@ -13,98 +13,14 @@ shared residency index, so it serves whichever backend owns the cache
 engine, and its pushOuts go through :meth:`CacheEngine.push` —
 adjacent dirty pages of one segment are cleaned in a single ranged
 upcall when the mapper supports it.
-
-With the concurrent engine, those pushOuts may ride write-behind: the
-:class:`WriteBehindQueue` bounds how many pages may be in the I/O
-pool's hands at once.  Charges still land at submit time (the virtual
-clock never moves on a pool thread); only the byte movement overlaps
-with execution, and only while the bound holds — a full queue turns
-the next pushOut synchronous, which is the backpressure.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.cache.descriptor import RealPageDescriptor
 from repro.cache.engine import _dirty_runs
-from repro.obs.probe import NULL_PROBE
-
-
-class Reservation:
-    """Capacity held in a :class:`WriteBehindQueue` for one pushOut's
-    pages; ``complete()`` releases it (idempotent — safe to call from
-    an I/O pool thread *and* from the synchronous fallback)."""
-
-    __slots__ = ("_queue", "pages", "_done")
-
-    def __init__(self, queue: "WriteBehindQueue", pages: int):
-        self._queue = queue
-        self.pages = pages
-        self._done = False
-
-    def complete(self) -> None:
-        queue = self._queue
-        with queue._lock:
-            if self._done:
-                return
-            self._done = True
-            queue.pending_pages -= self.pages
-            queue.completed += self.pages
-
-    def __repr__(self) -> str:
-        state = "done" if self._done else "pending"
-        return f"Reservation({self.pages} pages, {state})"
-
-
-class WriteBehindQueue:
-    """Bounded accounting for dirty pages handed to the I/O pool.
-
-    Evictions and daemon cleanings *offer* their pages before deferring
-    the pushOut bytes: while capacity remains they get a reservation
-    (the write rides the scheduler's write-behind queue and the fault
-    path moves on); when the queue is full ``offer`` returns ``None``
-    and the caller writes synchronously — backpressure stalls the
-    producer on its own I/O instead of letting dirty memory grow
-    without bound.
-
-    The lock is the queue's own (never the VM lock): completions
-    arrive from pool threads, which must never take kernel locks or
-    touch the virtual clock.
-    """
-
-    def __init__(self, max_pages: int = 64, probe=None):
-        self.max_pages = max_pages
-        self.probe = probe if probe is not None else NULL_PROBE
-        self._lock = threading.Lock()
-        self.pending_pages = 0
-        self.enqueued = 0
-        self.completed = 0
-        self.stalls = 0
-
-    def offer(self, pages: int) -> Optional[Reservation]:
-        """Reserve capacity for *pages*; None when full (write
-        synchronously — the one case the fault path stalls)."""
-        with self._lock:
-            if self.pending_pages + pages > self.max_pages:
-                self.stalls += 1
-                stalled = True
-            else:
-                self.pending_pages += pages
-                self.enqueued += pages
-                stalled = False
-        # Probe outside the lock, and only on the submitting kernel
-        # thread (offer is never called from the pool).
-        if stalled:
-            self.probe.count("writeback.stall", pages)
-            return None
-        self.probe.count("writeback.deferred", pages)
-        return Reservation(self, pages)
-
-    def __repr__(self) -> str:
-        return (f"WriteBehindQueue({self.pending_pages}/{self.max_pages} "
-                f"pending, {self.stalls} stalls)")
 
 
 class WritebackDaemon:
@@ -120,7 +36,10 @@ class WritebackDaemon:
         self.pages_cleaned = 0
 
     def tick(self) -> int:
-        """One aging pass; returns how many pages were cleaned."""
+        """One aging pass; returns how many pages were cleaned.
+
+        A failed pushOut propagates out of the tick; the pages of the
+        failed run stay dirty and are retried on a later tick."""
         self.ticks += 1
         engine = self.vm.cache_engine
         selected = []

@@ -25,9 +25,7 @@ from repro.engine.cluster import (
     PrefaultEntry, make_policy, split_uniform,
 )
 from repro.engine.inflight import InFlightEntry, InFlightTable
-from repro.engine.io import (
-    DEMAND, READAHEAD, WRITE_BEHIND, IoScheduler, IoScope,
-)
+from repro.engine.io import IoScheduler
 from repro.engine.pipeline import (
     FAULT_STAGES, RESOLUTION_STAGES, FaultPipeline, VmBackend,
 )
@@ -38,21 +36,17 @@ __all__ = [
     "AdmissionGate",
     "ClusterIndex",
     "ClusterPolicy",
-    "DEMAND",
     "FAULT_STAGES",
     "FixedWindow",
     "InFlightEntry",
     "InFlightTable",
     "IoScheduler",
-    "IoScope",
     "NoCluster",
     "PrefaultEntry",
-    "READAHEAD",
     "RESOLUTION_STAGES",
     "FaultPipeline",
     "FaultTask",
     "VmBackend",
-    "WRITE_BEHIND",
     "make_policy",
     "split_uniform",
 ]

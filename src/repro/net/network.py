@@ -78,11 +78,6 @@ class RemoteMapper(Mapper):
     mapper's port and its opaque key, exactly as the paper describes.
     """
 
-    #: The charge/byte split happens at the home site, inside the real
-    #: mapper; this proxy forwards the whole protocol and must be
-    #: routed opaquely by the I/O scheduler.
-    split_io = False
-
     def __init__(self, network: Network, local_site: str, home_site: str,
                  remote_port: str, proxy_port: Optional[str] = None):
         # Default to the remote port's own name: capabilities minted by

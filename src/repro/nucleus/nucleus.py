@@ -83,9 +83,8 @@ class Nucleus(VmOpsMixin):
             header = message.header
             op = header["op"]
             key = mapper.check_capability(header["capability"])
-            # Mapper ops ride the manager's I/O scheduler (the IPC
-            # charges already landed at send time, so routing only the
-            # byte movement keeps charge order intact).
+            # Mapper ops route through the manager's I/O scheduler,
+            # which runs them synchronously on this thread.
             io = getattr(self.vm, "io", None)
             if op == "read":
                 if io is not None:

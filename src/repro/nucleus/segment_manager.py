@@ -28,6 +28,14 @@ from repro.errors import CapabilityError, InvalidOperation
 from repro.gmi.types import AccessMode
 from repro.gmi.upcalls import SegmentProvider
 from repro.segments.capability import Capability
+from repro.units import IPC_MESSAGE_LIMIT
+
+
+def _ipc_windows(size: int):
+    """``(start, length)`` windows of at most one IPC message each
+    covering ``[0, size)``; an empty range is still one request."""
+    return [(start, min(IPC_MESSAGE_LIMIT, size - start))
+            for start in range(0, size, IPC_MESSAGE_LIMIT)] or [(0, 0)]
 
 
 class MapperProvider(SegmentProvider):
@@ -36,7 +44,9 @@ class MapperProvider(SegmentProvider):
     ``batched``: a multi-page pullIn becomes *one* IPC round-trip to
     the mapper instead of one per page — the dominant saving for
     sequential segment scans (the cost model charges per page either
-    way; only the message count drops).
+    way; only the message count drops).  A range larger than the
+    64-Kbyte IPC message limit moves in message-sized windows, one
+    round-trip each.
     """
 
     batched = True
@@ -50,24 +60,28 @@ class MapperProvider(SegmentProvider):
         # "The request contains the segment capability and the
         # local-cache capability, and the start offset, size, and
         # access type of the required data."
-        reply = self.manager.ipc.send(self.capability.port, header={
-            "op": "read",
-            "capability": self.capability,
-            "local_cache": self.manager.cache_capability(cache),
-            "offset": offset,
-            "size": size,
-            "access": access_mode.value,
-        })
-        cache.fill_up(offset, reply.inline)
+        local_cache = self.manager.cache_capability(cache)
+        for start, length in _ipc_windows(size):
+            reply = self.manager.ipc.send(self.capability.port, header={
+                "op": "read",
+                "capability": self.capability,
+                "local_cache": local_cache,
+                "offset": offset + start,
+                "size": length,
+                "access": access_mode.value,
+            })
+            cache.fill_up(offset + start, reply.inline)
 
     def push_out(self, cache, offset: int, size: int) -> None:
         data = cache.copy_back(offset, size)
-        self.manager.ipc.send(self.capability.port, header={
-            "op": "write",
-            "capability": self.capability,
-            "local_cache": self.manager.cache_capability(cache),
-            "offset": offset,
-        }, data=data)
+        local_cache = self.manager.cache_capability(cache)
+        for start, length in _ipc_windows(len(data)):
+            self.manager.ipc.send(self.capability.port, header={
+                "op": "write",
+                "capability": self.capability,
+                "local_cache": local_cache,
+                "offset": offset + start,
+            }, data=data[start:start + length])
 
     def segment_create(self, cache) -> object:
         return self.capability.uid
@@ -123,13 +137,7 @@ class TemporaryProvider(SegmentProvider):
         """Release a temporary cache's swap segment, if allocated."""
         swap = self._swap.pop(id(cache), None)
         if swap is not None:
-            mapper = self.manager.default_mapper
-            io = getattr(self.manager.vm, "io", None)
-            if io is not None:
-                # Deferred writes to a dying segment are wasted bytes;
-                # drop the queued ones, wait out the executing ones.
-                io.discard(mapper, swap.key)
-            mapper.destroy_segment(swap.key)
+            self.manager.default_mapper.destroy_segment(swap.key)
 
 
 class SegmentManager:

@@ -38,7 +38,7 @@ from repro.obs.schema import SNAPSHOT_SCHEMA, validate
 from repro.obs.sinks import (
     NULL_SINK, CallbackSink, JsonlSink, NullSink, RingBufferSink, SpanSink,
 )
-from repro.obs.span import NOOP_SPAN, AdoptedSpan, NoopSpan, Span
+from repro.obs.span import NOOP_SPAN, NoopSpan, Span
 
 __all__ = [
     "MetricsRegistry",
@@ -52,7 +52,6 @@ __all__ = [
     "Probe",
     "NULL_PROBE",
     "Span",
-    "AdoptedSpan",
     "NoopSpan",
     "NOOP_SPAN",
     "SpanSink",

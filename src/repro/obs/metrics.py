@@ -214,14 +214,18 @@ class MetricsRegistry:
 
         A plain name takes its labeled series with it; dropping one
         labeled series subtracts its value from the rollup, so the
-        rollup stays the sum of what remains.  Bumps the generation so
-        samplers resample their baselines.
+        rollup stays the sum of what remains.  Dropped series leave the
+        series-base cache too, so short-lived labels (a destroyed
+        space's ledger) do not accumulate there.  Bumps the generation
+        so samplers resample their baselines.
         """
+        series_base = self._series_base
         with self._lock:
             for name in names:
                 base = self._base_of(name)
                 if base is not None:
                     # One labeled series: keep the rollup consistent.
+                    series_base.pop(name, None)
                     dropped = self._counters.pop(name, 0)
                     if dropped and base in self._counters:
                         remaining = self._counters[base] - dropped
@@ -235,6 +239,7 @@ class MetricsRegistry:
                 for key in [key for key in self._counters
                             if key.startswith(prefix)]:
                     del self._counters[key]
+                    series_base.pop(key, None)
             self.generation += 1
 
     # -- gauges -------------------------------------------------------------
@@ -329,6 +334,7 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._series_base.clear()
             self.generation += 1
 
     def snapshot(self) -> Dict[str, object]:

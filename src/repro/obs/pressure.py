@@ -1,7 +1,7 @@
 """Per-space pressure accounting: ledgers and PSI-style stall tracking.
 
-The fault path, the cache engine and the I/O scheduler can all say
-*what* happened (``cache.pull_in``, ``writeback.stall``); none of them
+The fault path and the cache engine can both say *what* happened
+(``cache.pull_in``, ``cache.writeback``); neither of them
 can say *who paid for it*.  This module is the attribution plane the
 working-set balancer will read:
 
@@ -23,11 +23,9 @@ Determinism contract — the reason this module is shaped the way it is:
   bit-identical with the board active (the +0.000 vdrift acceptance
   gate);
 * ledger **counters** record only events that are identical whatever
-  the io-thread count or cluster policy (faults, pulls, pushes,
-  evictions), so the io-determinism and cluster-parity suites keep
-  comparing them;
-* stall **durations** depend on scheduling (write-behind backpressure
-  only exists when a queue can fill), so they are published as
+  the cluster policy (faults, pulls, pushes, evictions), so the
+  cluster-parity suite keeps comparing them;
+* stall **durations** depend on scheduling, so they are published as
   *gauges* at snapshot time, never as counters.
 
 Layering: this module may import only :mod:`repro.obs.metrics` —
@@ -436,8 +434,8 @@ class PressureBoard:
         """Write the ``psi.*`` and per-space stall gauges.
 
         Called at snapshot time only: stall fractions depend on
-        scheduling (queue depths, io threads), so they are last-write
-        gauges, never counters the determinism suites compare.
+        scheduling, so they are last-write gauges, never counters the
+        parity suites compare.
         """
         registry = self.registry
         if not registry.enabled:

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NULL_SINK, SpanSink
-from repro.obs.span import NOOP_SPAN, AdoptedSpan, NoopSpan, Span
+from repro.obs.span import NOOP_SPAN, NoopSpan, Span
 
 
 class Probe:
@@ -41,9 +41,9 @@ class Probe:
         self.clock = clock
         self._stack: List[Span] = []
         self._next_span_id = 1
-        # Span ids are allocated under a lock because adopted spans
-        # (io byte-halves) allocate on pool threads while the kernel
-        # thread keeps opening spans; `n += 1` is not atomic.
+        # Span ids are allocated under a lock because other kernel
+        # threads (under ThreadedSync) may open spans concurrently;
+        # `n += 1` is not atomic.
         self._id_lock = threading.Lock()
         self._listening = False
         # Memoized "tracing is off" flag: span() — called on every
@@ -143,47 +143,6 @@ class Probe:
         """The innermost open span, or None."""
         return self._stack[-1] if self._stack else None
 
-    def span_context(self) -> Optional[Tuple[int, int]]:
-        """The innermost open span as a portable ``(parent_id, depth)``
-        handoff, or None when tracing is off or no span is open.
-
-        Work deferred to another thread captures this on the submitting
-        thread and later opens an :meth:`adopted_span` with it, so the
-        executed half re-parents under the span that requested it
-        instead of whatever the kernel thread happens to be doing at
-        execution time.
-        """
-        if self._span_off or not self._stack:
-            return None
-        top = self._stack[-1]
-        return (top.span_id, top.depth + 1)
-
-    def adopted_span(self, name: str,
-                     context: Optional[Tuple[int, int]]):
-        """Open a span parented by a :meth:`span_context` capture.
-
-        Safe to enter/exit on any thread: the span never touches the
-        kernel thread's span stack, and its id comes from the shared
-        allocator under the id lock.  Returns the no-op span when
-        tracing is off or no context was captured (tracing was off at
-        submit time).
-        """
-        if self._span_off or context is None:
-            return NOOP_SPAN
-        parent_id, depth = context
-        with self._id_lock:
-            span_id = self._next_span_id
-            self._next_span_id = span_id + 1
-        span = AdoptedSpan(
-            self, name,
-            span_id=span_id,
-            parent_id=parent_id,
-            depth=depth,
-            start_ms=self.clock.now() if self.clock is not None else 0.0,
-        )
-        span.wall_start_s = perf_counter()
-        return span
-
     def event(self, name: str, count: int = 1) -> None:
         """Attribute a named event to the innermost open span (no-op
         when tracing is off or no span is open)."""
@@ -201,14 +160,6 @@ class Probe:
             self._stack.pop()
         if self._stack:
             self._stack.pop()
-        span.end_ms = self.clock.now() if self.clock is not None else 0.0
-        span.wall_end_s = perf_counter()
-        self.registry.observe(f"span.{span.name}.ms", span.duration_ms)
-        self.sink.emit(span)
-
-    def _finish_adopted(self, span: Span) -> None:
-        """Close an adopted span (any thread): stamp, observe, emit —
-        no span-stack bookkeeping, only thread-safe endpoints."""
         span.end_ms = self.clock.now() if self.clock is not None else 0.0
         span.wall_end_s = perf_counter()
         self.registry.observe(f"span.{span.name}.ms", span.duration_ms)
@@ -246,13 +197,6 @@ class _IdleProbe(Probe):
         pass
 
     def span(self, name: str):
-        return NOOP_SPAN
-
-    def span_context(self) -> Optional[Tuple[int, int]]:
-        return None
-
-    def adopted_span(self, name: str,
-                     context: Optional[Tuple[int, int]]):
         return NOOP_SPAN
 
     def event(self, name: str, count: int = 1) -> None:

@@ -49,17 +49,14 @@ SNAPSHOT_SCHEMA = {
             # executed pipeline stage: locate, authorize, resolve,
             # materialize, install), the fault-clustering counters
             # (faults_saved / window / wasted_prefault), the in-flight
-            # fault table (begin / coalesced), the I/O scheduler's
-            # queue counters (read / write per priority, coalesced /
-            # forced / stall) and the pressure board's per-space
-            # ledgers (``space.*{space=N}`` plus rollups) — plus their
-            # labeled series.  ``vbus.*`` counts the vectorized access
-            # path's batches and fast/fallback split.
+            # fault table (begin / coalesced) and the pressure board's
+            # per-space ledgers (``space.*{space=N}`` plus rollups) —
+            # plus their labeled series.  ``vbus.*`` counts the
+            # vectorized access path's batches and fast/fallback split.
             "patternProperties": {
                 r"^engine\.stage\.": {"type": "integer", "minimum": 0},
                 r"^engine\.cluster\.": {"type": "integer", "minimum": 0},
                 r"^engine\.inflight\.": {"type": "integer", "minimum": 0},
-                r"^io\.queue\.": {"type": "integer", "minimum": 0},
                 r"^space\.": {"type": "integer", "minimum": 0},
                 r"^balancer\.": {"type": "integer", "minimum": 0},
                 r"^throttle\.": {"type": "integer", "minimum": 0},

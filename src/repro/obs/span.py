@@ -102,30 +102,6 @@ class Span:
                 f"depth={self.depth}, t={self.start_ms:.3f}ms)")
 
 
-class AdoptedSpan(Span):
-    """A span executed on a foreign thread, parented by an explicit
-    ``Probe.span_context()`` handoff instead of the span stack.
-
-    The kernel thread's ``_stack`` is single-threaded state; a pool
-    thread touching it would corrupt nesting for whatever the kernel
-    thread is doing *now*.  An adopted span therefore never pushes or
-    pops — it carries its parent id from the handoff and finishes
-    through :meth:`repro.obs.probe.Probe._finish_adopted`, which only
-    touches thread-safe endpoints (registry lock, sink emit).
-    """
-
-    __slots__ = ()
-
-    def __enter__(self) -> "AdoptedSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        if exc is not None:
-            self.attrs["error"] = type(exc).__name__
-        self._probe._finish_adopted(self)
-        return False
-
-
 class NoopSpan:
     """The shared do-nothing span returned while tracing is off.
 

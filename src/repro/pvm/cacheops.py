@@ -346,7 +346,7 @@ class CacheOpsMixin:
         self._pull_span(cache, offset, self.page_size, mode)
 
     def _pull_span(self, cache: PvmCache, offset: int, size: int,
-                   mode: AccessMode, readahead: bool = False) -> None:
+                   mode: AccessMode) -> None:
         """Stub every page of ``[offset, offset+size)`` and drive one
         (possibly ranged) pullIn through the cache engine.
 
@@ -364,8 +364,7 @@ class CacheOpsMixin:
             self.global_map.insert(cache, page_offset, stub)
             stubs.append(stub)
         try:
-            self.cache_engine.pull(cache, offset, size, mode,
-                                   readahead=readahead)
+            self.cache_engine.pull(cache, offset, size, mode)
         except BaseException:
             # The mapper failed (e.g. out of frames during fillUp):
             # never leave an unresolvable stub behind — sleepers
@@ -410,19 +409,19 @@ class CacheOpsMixin:
                 else:
                     self._pull_span(cache, run_start,
                                     run_end + self.page_size - run_start,
-                                    AccessMode.READ, readahead=True)
+                                    AccessMode.READ)
                     run_start = run_end = page_offset
             else:
                 if run_start is not None:
                     self._pull_span(cache, run_start,
                                     run_end + self.page_size - run_start,
-                                    AccessMode.READ, readahead=True)
+                                    AccessMode.READ)
                     run_start = run_end = None
                 self._page_for_explicit_read(cache, page_offset)
         if run_start is not None:
             self._pull_span(cache, run_start,
                             run_end + self.page_size - run_start,
-                            AccessMode.READ, readahead=True)
+                            AccessMode.READ)
 
     def _wait_stub(self, stub: SyncStub, leader: bool = False) -> None:
         """Sleep until the in-transit page arrives.

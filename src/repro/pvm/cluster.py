@@ -116,9 +116,7 @@ class ClusterMixin:
                 # cache engine charges it for every one-page pull.
                 for _ in range(pages):
                     self.clock.charge(CostEvent.PULL_IN)
-                # Speculative: rank the mapper traffic below demand.
-                with self.io.classify(self.io.READAHEAD):
-                    cache.provider.pull_in(cache, start, size, mode)
+                cache.provider.pull_in(cache, start, size, mode)
         except BaseException:
             # Speculation must never turn into a fault-path error.
             self._cluster_drop_frames(frames)

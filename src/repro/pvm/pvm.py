@@ -16,7 +16,6 @@ from typing import Dict, Optional
 
 from repro.cache.engine import CacheEngine
 from repro.cache.eviction import EvictionPolicy
-from repro.cache.writeback import WriteBehindQueue
 from repro.engine import (
     AdmissionGate, FaultPipeline, InFlightTable, IoScheduler,
 )
@@ -68,14 +67,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
     default_provider:
         Segment provider adopted by caches the PVM creates unilaterally
         (working/history objects) via the segmentCreate upcall.
-    io_threads:
-        Mapper I/O pool size.  0 (default) keeps every mapper call
-        synchronous on the kernel thread; with a pool, write-behind
-        bytes drain concurrently while virtual charges stay at submit
-        time — virtual results are bit-identical either way.
-    io_queue_pages:
-        Write-behind bound: dirty pages the I/O pool may hold at once
-        before pushOuts turn synchronous (backpressure).
     """
 
     name = "pvm"
@@ -100,8 +91,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
                  replacement_policy=None,
                  probe: Optional[Probe] = None,
                  cluster_policy=None,
-                 io_threads: int = 0,
-                 io_queue_pages: int = 128,
                  arbiter: Optional[FrameArbiter] = None):
         self.memory = memory or build_physical_memory(memory_size, page_size)
         self.clock = clock or VirtualClock()
@@ -128,24 +117,15 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
         #: the shared staged fault-resolution pipeline (repro.engine);
         #: all three backends resolve faults through it.
         self.engine = FaultPipeline(self)
-        #: the mapper I/O scheduler (repro.engine): every mapper-backed
-        #: read/write routes through it.  ``io_threads == 0`` (default)
-        #: is a strictly synchronous pass-through — the exact charge
-        #: and byte order of the direct-mapper path; with a pool,
-        #: write-behind bytes drain off the fault path while virtual
-        #: charges stay at submit time, in program order.
-        self.io = IoScheduler(threads=io_threads, probe=self.probe,
-                              pressure=self.pressure)
+        #: the mapper I/O router (repro.engine): every mapper-backed
+        #: read/write routes through it, synchronously on the caller.
+        self.io = IoScheduler()
         #: the in-flight table: one entry per extent being pulled;
         #: concurrent faulters on its pages coalesce onto the entry's
         #: shared condition instead of re-pulling.
         self.inflight = InFlightTable(self.sync_factory, self.lock,
                                       page_size=self.memory.page_size,
                                       probe=self.probe)
-        #: bounded write-behind accounting: evictions/writebacks defer
-        #: their bytes only while this has room (backpressure).
-        self.write_behind = WriteBehindQueue(max_pages=io_queue_pages,
-                                             probe=self.probe)
         #: fault clustering (read-ahead prefaulting); "off" by default
         #: — pass "fixed[:N]" / "adaptive" / a ClusterPolicy to enable.
         self._cluster_init(cluster_policy)
@@ -217,11 +197,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
             probe.gauge("tlb.hit_ratio", tlb.hit_rate())
             probe.gauge("tlb.occupancy", tlb.occupancy)
         probe.gauge("engine.inflight.depth", self.inflight.depth)
-        probe.gauge("io.queue.depth", self.io.depth)
-        probe.gauge("io.queue.depth_peak", self.io.stats["depth_peak"])
-        probe.gauge("io.queue.coalesce_rate", self.io.coalesce_rate)
-        probe.gauge("writeback.pending_pages",
-                    self.write_behind.pending_pages)
         self._publish_pressure()
         snapshot = probe.registry.snapshot()
         return {

@@ -50,7 +50,7 @@ class SimulatedDisk:
         self.clock.advance(self.transfer_ms)
         self._last_block = block
 
-    # -- the charge half (submit-time: latency model + counters) ---------------
+    # -- the charge half (latency model + counters) -----------------------------
 
     def charge_read(self, block: int) -> None:
         """Charge one block read (seek state advances; no bytes move)."""
@@ -62,7 +62,7 @@ class SimulatedDisk:
         self._charge(block, CostEvent.DISK_WRITE_PAGE)
         self.writes += 1
 
-    # -- the byte half (charge-free; a pool thread may run it) -----------------
+    # -- the byte half (charge-free) -------------------------------------------
 
     def peek(self, block: int) -> bytes:
         """Raw block bytes (zeroes when never written); never charges

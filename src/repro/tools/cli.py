@@ -214,7 +214,7 @@ def cmd_bench(args) -> int:
     if args.record:
         current = record(args.out, workloads=workloads, backends=backends,
                          repeats=args.repeats, label=args.label,
-                         cluster=args.cluster, io_threads=args.io_threads)
+                         cluster=args.cluster)
         print(f"recorded {len(current['results'])} cells to {args.out}")
     if args.compare:
         baseline = load(args.compare)
@@ -224,8 +224,7 @@ def cmd_bench(args) -> int:
             else:
                 current = run_suite(workloads=workloads, backends=backends,
                                     repeats=args.repeats, label=args.label,
-                                    cluster=args.cluster,
-                                    io_threads=args.io_threads)
+                                    cluster=args.cluster)
         report = compare(baseline, current, threshold=args.threshold)
         print(format_compare(report))
         if report["regressions"]:
@@ -242,7 +241,7 @@ def cmd_top(args) -> int:
     from repro.tools.top import run_top
 
     return run_top(once=args.once, frames=args.frames,
-                   interval=args.interval, io_threads=args.io_threads)
+                   interval=args.interval)
 
 
 def cmd_layers(_args) -> int:
@@ -377,9 +376,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     top.add_argument("--interval", type=float, default=0.0,
                      metavar="SECONDS",
                      help="wall-clock pause between frames (default: 0)")
-    top.add_argument("--io-threads", type=int, default=2, metavar="N",
-                     help="I/O scheduler pool size for the mix "
-                          "(default: 2)")
     bench = subparsers.add_parser(
         "bench",
         help="record and/or compare flight-recorder runs")
@@ -392,12 +388,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="fault-clustering (read-ahead) policy for "
                             "the run (default: adaptive); virtual times "
                             "are identical across settings by design")
-    bench.add_argument("--io-threads", type=int, default=2,
-                       metavar="N",
-                       help="I/O scheduler pool size for the run "
-                            "(default: 2; 0 = synchronous pass-through); "
-                            "virtual times are identical across settings "
-                            "by design")
     bench.add_argument("--compare", default=None, metavar="BASELINE",
                        help="baseline document to gate against")
     bench.add_argument("--current", default=None, metavar="FILE",

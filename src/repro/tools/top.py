@@ -32,7 +32,7 @@ MIX_BUDGET = 80
 MIX_FLOOR = 4
 
 
-def build_mix(io_threads: int = 2) -> dict:
+def build_mix() -> dict:
     """The ``repro.mix`` scenario: three address spaces with distinct
     memory personalities on one SUN-3/60-calibrated PVM nucleus,
     arbitrated by a working-set balancer so the grant/WSS columns are
@@ -50,7 +50,7 @@ def build_mix(io_threads: int = 2) -> dict:
         ws=WorkingSetEstimator(),
         qos=AdmissionController(window_ms=10.0, fault_limit=64),
     )
-    nucleus = build_nucleus("pvm", io_threads=io_threads, arbiter=arbiter)
+    nucleus = build_nucleus("pvm", arbiter=arbiter)
     vm = nucleus.vm
     page = vm.page_size
 
@@ -184,13 +184,12 @@ def format_top(vm, start_ms: float = 0.0) -> str:
 
 
 def run_top(once: bool = False, frames: int = MIX_ROUNDS,
-            interval: float = 0.0, io_threads: int = 2,
-            out=None) -> int:
+            interval: float = 0.0, out=None) -> int:
     """Drive the mix and print frames (the ``repro top`` entry point)."""
     import sys
 
     out = out if out is not None else sys.stdout
-    state = build_mix(io_threads=io_threads)
+    state = build_mix()
     vm = state["vm"]
     start_ms = state["clock"].now()
     frame_texts: List[str] = []
@@ -206,8 +205,4 @@ def run_top(once: bool = False, frames: int = MIX_ROUNDS,
                 time.sleep(interval)
     if once:
         print(format_top(vm, start_ms), file=out)
-    io = getattr(vm, "io", None)
-    if io is not None:
-        io.flush()
-        io.close()
     return 0

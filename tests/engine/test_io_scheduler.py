@@ -1,55 +1,43 @@
-"""The I/O scheduler: pass-through, deferral, coalescing, forcing.
+"""The I/O scheduler: a synchronous router for mapper requests.
 
-The contract under test is the charge/byte split: the protocol half
-(``prepare_write`` / ``charge_read``) always runs on the submitting
-thread, the byte half may be deferred — and a reader must never see
-the store without bytes it already paid for.
+The contract under test: every mapper read and write runs on the
+calling thread, in program order — the charging half
+(``prepare_write`` / ``charge_read``) first, then the byte half — and
+has finished when the call returns, so a reader never sees the store
+without bytes already paid for and a store error reaches the caller.
 """
 
 import threading
 
 import pytest
 
-from repro.engine import DEMAND, READAHEAD, WRITE_BEHIND, IoScheduler
+from repro.engine import IoScheduler
 from repro.segments.swap_mapper import SwapMapper
 
 
 class RecordingMapper(SwapMapper):
-    """A swap mapper that records the order of protocol/byte calls."""
+    """A swap mapper that records the order and thread of protocol
+    and byte calls."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
+        self.threads = set()
 
     def prepare_write(self, key, offset, data):
         self.calls.append(("prepare", offset, len(data)))
+        self.threads.add(threading.get_ident())
         return super().prepare_write(key, offset, data)
 
     def write_range(self, key, offset, data):
         self.calls.append(("write_range", offset, len(data)))
+        self.threads.add(threading.get_ident())
         super().write_range(key, offset, data)
 
     def read_segment(self, key, offset, size):
         self.calls.append(("read", offset, size))
+        self.threads.add(threading.get_ident())
         return super().read_segment(key, offset, size)
-
-
-class GatedMapper(SwapMapper):
-    """Blocks every ``write_range`` until ``release()`` — pins the one
-    worker so later submissions stay queued deterministically."""
-
-    def __init__(self):
-        super().__init__()
-        self.gate = threading.Event()
-        self.entered = threading.Event()
-
-    def write_range(self, key, offset, data):
-        self.entered.set()
-        assert self.gate.wait(timeout=10), "gate never released"
-        super().write_range(key, offset, data)
-
-    def release(self):
-        self.gate.set()
 
 
 def make_segment(mapper):
@@ -58,295 +46,67 @@ def make_segment(mapper):
 
 class TestSynchronousPassThrough:
     def test_zero_threads_starts_no_workers(self):
-        io = IoScheduler(threads=0)
-        assert io.threads == 0
-        assert threading.active_count() == threading.active_count()
-        assert not io._workers
+        before = threading.active_count()
+        io = IoScheduler()
+        mapper = SwapMapper()
+        key = make_segment(mapper)
+        io.write_segment(mapper, key, 0, b"data")
+        io.read_segment(mapper, key, 0, 4)
+        io.flush()
+        assert threading.active_count() == before
 
     def test_write_is_prepare_then_range_on_caller(self):
         mapper = RecordingMapper()
         key = make_segment(mapper)
-        io = IoScheduler(threads=0)
+        io = IoScheduler()
         io.write_segment(mapper, key, 0, b"hello")
         assert mapper.calls == [("prepare", 0, 5), ("write_range", 0, 5)]
         assert io.read_segment(mapper, key, 0, 5) == b"hello"
+        assert mapper.threads == {threading.get_ident()}
 
-    def test_write_behind_priority_still_executes_inline(self):
-        mapper = SwapMapper()
+    def test_partial_page_write_is_read_modify_write(self):
+        # A block store (page_size set) merges an unaligned write into
+        # the surrounding block before storing it, on the caller.
+        mapper = RecordingMapper()
+        mapper.page_size = 8
         key = make_segment(mapper)
-        io = IoScheduler(threads=0)
-        with io.classify(WRITE_BEHIND):
-            io.write_segment(mapper, key, 0, b"sync")
-        assert io.depth == 0
-        assert mapper.read_segment(key, 0, 4) == b"sync"
-        assert io.stats["inline"] == 1
-        assert io.stats["deferred"] == 0
+        io = IoScheduler()
+        io.write_segment(mapper, key, 0, b"abcdefgh" * 2)
+        mapper.calls.clear()
+        io.write_segment(mapper, key, 3, b"XY")
+        assert mapper.calls == [("prepare", 3, 2), ("read", 0, 8),
+                                ("write_range", 0, 8)]
+        assert mapper.read_range(key, 0, 16) == b"abcXYfghabcdefgh"
 
-
-class TestDeferral:
-    def test_write_behind_defers_and_flush_drains(self):
-        mapper = GatedMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"deferred")
-            assert io.stats["deferred"] == 1
-            mapper.release()
-            io.flush()
-            assert io.depth == 0
-            assert mapper.read_range(key, 0, 8) == b"deferred"
-        finally:
-            mapper.release()
-            io.close()
-
-    def test_demand_and_readahead_never_defer(self):
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        try:
-            for priority in (DEMAND, READAHEAD):
-                with io.classify(priority):
-                    io.write_segment(mapper, key, 0, b"now")
-                assert io.depth == 0
-            assert io.stats["deferred"] == 0
-        finally:
-            io.close()
-
-    def test_worker_error_surfaces_at_flush(self):
+    def test_store_error_reaches_the_caller(self):
         class Exploding(SwapMapper):
             def write_range(self, key, offset, data):
                 raise RuntimeError("store died")
 
         mapper = Exploding()
         key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        with io.classify(WRITE_BEHIND):
-            io.write_segment(mapper, key, 0, b"boom")
+        io = IoScheduler()
         with pytest.raises(RuntimeError, match="store died"):
-            io.flush()
-        io.close()
+            io.write_segment(mapper, key, 0, b"boom")
+        io.flush()                  # nothing was parked for later
 
-    def test_close_drains_then_submissions_run_inline(self):
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        with io.classify(WRITE_BEHIND):
-            io.write_segment(mapper, key, 0, b"before")
-        io.close()
-        assert mapper.read_range(key, 0, 6) == b"before"
-        with io.classify(WRITE_BEHIND):
-            io.write_segment(mapper, key, 8, b"after")
-        assert mapper.read_range(key, 8, 5) == b"after"
-
-
-class TestCoalescing:
-    # Below the dispatch watermark workers stay asleep, so small
-    # deferred writes sit queued deterministically — no need to pin
-    # the pool on a decoy.
-
-    def test_touching_writes_merge_into_one_request(self):
-        io = IoScheduler(threads=1)
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"aaaa")
-                io.write_segment(mapper, key, 4, b"bbbb")   # touching
-                io.write_segment(mapper, key, 2, b"CC")     # overlapping
-            assert io.stats["coalesced"] == 2
-            assert io.depth == 1
-            assert io.coalesce_rate == pytest.approx(2 / 3)
-            io.flush()
-            # The overlap landed newest-last: CC over the aaaa bytes.
-            assert mapper.read_range(key, 0, 8) == b"aaCCbbbb"
-        finally:
-            io.close()
-
-    def test_disjoint_writes_stay_separate(self):
-        io = IoScheduler(threads=1)
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"aa")
-                io.write_segment(mapper, key, 100, b"bb")
-            assert io.stats["coalesced"] == 0
-            assert io.depth == 2
-            io.flush()
-            assert mapper.read_range(key, 0, 2) == b"aa"
-            assert mapper.read_range(key, 100, 2) == b"bb"
-        finally:
-            io.close()
-
-    def test_merged_request_is_a_single_contiguous_write(self):
-        # Coalescing is zero-copy at submit: fragments accumulate and
-        # are stitched only at execution — a contiguous run of
-        # fragments must still reach the store as ONE write_range.
-        io = IoScheduler(threads=1)
+    def test_flush_is_a_no_op_sync_point(self):
         mapper = RecordingMapper()
         key = make_segment(mapper)
-        try:
-            with io.classify(WRITE_BEHIND):
-                for index in range(4):
-                    io.write_segment(mapper, key, index * 4, b"abcd")
-            assert io.stats["coalesced"] == 3
-            io.flush()
-            writes = [call for call in mapper.calls
-                      if call[0] == "write_range"]
-            assert writes == [("write_range", 0, 16)]
-            assert mapper.read_range(key, 0, 16) == b"abcd" * 4
-        finally:
-            io.close()
-
-    def test_merging_stops_at_the_transfer_size_bound(self):
-        io = IoScheduler(threads=1, max_coalesce_bytes=8)
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"aaaa")
-                io.write_segment(mapper, key, 4, b"bbbb")   # 8 bytes: fits
-                io.write_segment(mapper, key, 8, b"cccc")   # 12: new request
-            assert io.stats["coalesced"] == 1
-            assert io.depth == 2
-            io.flush()
-            assert mapper.read_range(key, 0, 12) == b"aaaabbbbcccc"
-        finally:
-            io.close()
-
-
-class TestForcing:
-    def test_read_forces_overlapping_queued_write(self):
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"paid-for")
-            # The read must observe the deferred bytes: the queued
-            # write is executed on the reading thread first.
-            assert io.read_segment(mapper, key, 0, 8) == b"paid-for"
-            assert io.stats["forced"] == 1
-            assert io.depth == 0
-        finally:
-            io.close()
-
-    def test_synchronous_write_supersedes_covered_queued_write(self):
-        mapper = RecordingMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"old bytes")
-            io.write_segment(mapper, key, 0, b"new bytes")  # DEMAND
-            assert io.stats["superseded"] == 1
-            io.flush()
-            # The superseded request never executed: one write_range.
-            writes = [call for call in mapper.calls
-                      if call[0] == "write_range"]
-            assert writes == [("write_range", 0, 9)]
-            assert mapper.read_range(key, 0, 9) == b"new bytes"
-        finally:
-            io.close()
-
-    def test_discard_drops_queued_writes_for_key(self):
-        mapper = RecordingMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"wasted")
-            io.discard(mapper, key)
-            io.flush()
-            assert not [call for call in mapper.calls
-                        if call[0] == "write_range"]
-        finally:
-            io.close()
-
-
-class TestBackpressure:
-    def test_over_budget_write_executes_on_submitter(self):
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1, max_buffered_bytes=4)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 100, b"too big for queue")
-            assert io.stats["stalls"] == 1
-            # Absorbed inline: the bytes are already in the store.
-            assert mapper.read_range(key, 100, 17) == b"too big for queue"
-            assert io.depth == 0
-        finally:
-            io.close()
-
-    def test_dispatch_waits_for_the_watermark(self):
-        # Batched dispatch: the worker is woken only once wake_bytes
-        # are pending (or at flush) — small writes stay queued.
-        mapper = GatedMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1, wake_bytes=64)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"a" * 32)
-            assert not mapper.entered.wait(timeout=0.1)
-            assert io.depth == 1
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 100, b"b" * 32)
-            # 64 pending bytes reach the watermark: the pool wakes.
-            assert mapper.entered.wait(timeout=10)
-            mapper.release()
-            io.flush()
-            assert io.depth == 0
-        finally:
-            mapper.release()
-            io.close()
-
-
-class TestScopes:
-    def test_on_done_fires_immediately_when_nothing_deferred(self):
-        io = IoScheduler(threads=0)
-        fired = []
-        with io.classify(WRITE_BEHIND, on_done=lambda: fired.append(1)):
-            pass
-        assert fired == [1]
-
-    def test_on_done_waits_for_the_deferred_write(self):
-        mapper = GatedMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        fired = threading.Event()
-        try:
-            with io.classify(WRITE_BEHIND, on_done=fired.set):
-                io.write_segment(mapper, key, 0, b"later")
-            assert not fired.is_set()
-            mapper.release()
-            io.flush()
-            assert fired.wait(timeout=10)
-        finally:
-            mapper.release()
-            io.close()
-
-    def test_on_done_fires_exactly_once_across_coalesce(self):
-        mapper = SwapMapper()
-        key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        fired = []
-        try:
-            with io.classify(WRITE_BEHIND, on_done=lambda: fired.append(1)):
-                io.write_segment(mapper, key, 0, b"aa")
-                io.write_segment(mapper, key, 2, b"bb")    # coalesces
-            io.flush()
-            assert fired == [1]
-        finally:
-            io.close()
+        io = IoScheduler()
+        io.write_segment(mapper, key, 0, b"landed")
+        calls = list(mapper.calls)
+        io.flush()
+        assert mapper.calls == calls
+        assert mapper.read_range(key, 0, 6) == b"landed"
 
 
 class TestOpaqueMappers:
-    def test_split_io_false_routes_full_segment_ops(self):
+    def test_proxy_routes_full_segment_ops(self):
+        # A proxy that forwards the whole protocol elsewhere (the
+        # remote-mapper stub) overrides the segment ops; the router
+        # must hand it exactly those calls.
         class Proxy(SwapMapper):
-            split_io = False
-
             def __init__(self):
                 super().__init__()
                 self.segment_ops = []
@@ -361,13 +121,7 @@ class TestOpaqueMappers:
 
         mapper = Proxy()
         key = make_segment(mapper)
-        io = IoScheduler(threads=1)
-        try:
-            with io.classify(WRITE_BEHIND):
-                io.write_segment(mapper, key, 0, b"direct")
-            # Never deferred: the bytes are visible immediately.
-            assert io.read_segment(mapper, key, 0, 6) == b"direct"
-            assert mapper.segment_ops == ["write", "read"]
-            assert io.stats["deferred"] == 0
-        finally:
-            io.close()
+        io = IoScheduler()
+        io.write_segment(mapper, key, 0, b"direct")
+        assert io.read_segment(mapper, key, 0, 6) == b"direct"
+        assert mapper.segment_ops == ["write", "read"]

@@ -139,6 +139,26 @@ class TestFork:
         assert shell.read(Program.DATA_BASE, 8) == b"shell st"
         assert manager.live_processes() == 1
 
+    def test_fork_exit_cycles_leave_no_metrics_residue(self, rig):
+        """Each child's address space gets its own labeled ledger
+        series; exit drops them, and the registry's series-base cache
+        must forget them too, or a long make grows it without bound."""
+        nucleus, manager = rig
+        registry = nucleus.vm.registry
+        shell = manager.spawn("sh")
+
+        def cycles(count):
+            for _ in range(count):
+                child = shell.fork()
+                child.exec("cc")
+                child.write(Program.DATA_BASE, b"cc state")
+                child.exit(0)
+                manager.wait(shell)
+            return len(registry._series_base)
+
+        settled = cycles(4)
+        assert cycles(40) == settled
+
 
 class TestExit:
     def test_exit_releases_everything(self, rig):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.gmi.types import Protection
 from repro.nucleus import Nucleus
-from repro.segments import Capability, MemoryMapper
+from repro.segments import Capability, DiskMapper, MemoryMapper, SimulatedDisk
 from repro.units import KB, MB
 
 PAGE = 8 * KB
@@ -52,6 +52,39 @@ class TestBinding:
         nucleus.rgn_map(actor, cap, PAGE, address=0x40000,
                         protection=Protection.READ)
         assert actor.read(0x40000, 4) == b"text"
+
+
+class TestRangesOverTheIpcLimit:
+    """A ranged upcall larger than one 64 KB IPC message moves in
+    message-sized windows instead of failing the send."""
+
+    PAGES = 16                      # 128 KB: two messages
+
+    @pytest.fixture
+    def disk_file(self, nucleus):
+        mapper = DiskMapper(SimulatedDisk(PAGE, clock=nucleus.clock))
+        nucleus.register_mapper(mapper)
+        payload = b"".join(bytes([index + 1]) * PAGE
+                           for index in range(self.PAGES))
+        cap = mapper.create_file(payload)
+        return mapper, cap, payload
+
+    def test_flush_of_sixteen_dirty_pages(self, nucleus, disk_file):
+        mapper, cap, _ = disk_file
+        actor = nucleus.create_actor()
+        size = self.PAGES * PAGE
+        region = nucleus.rgn_map(actor, cap, size, address=0x100000)
+        written = b"".join(bytes([0x80 + index]) * PAGE
+                           for index in range(self.PAGES))
+        actor.write(0x100000, written)
+        nucleus.vm.cache_flush(region.cache, 0, size, keep=True)
+        assert mapper.read_segment(cap.key, 0, size) == written
+
+    def test_ranged_read_of_sixteen_pages(self, nucleus, disk_file):
+        mapper, cap, payload = disk_file
+        cache = nucleus.segment_manager.bind(cap)
+        assert cache.read(0, len(payload)) == payload
+        assert mapper.read_requests == 2
 
 
 class TestSegmentCaching:

@@ -46,9 +46,9 @@ def run(policy, sequence, advice):
         else:
             vm.user_read(context, vaddr, 1)
     data = vm.user_read(context, BASE, PAGES * PAGE)
-    # engine.cluster.*, engine.inflight.* and io.queue.* describe how
-    # the engine shaped the work (window sizes, pull spans, queued
-    # requests) — clustering is allowed to change those; everything it
+    # engine.cluster.* and engine.inflight.* describe how the engine
+    # shaped the work (window sizes, pull spans) — clustering is
+    # allowed to change those; everything it
     # accounts for (charges, faults, pulls, hits/misses) must not move.
     # space.inflight_wait is the per-space projection of
     # engine.inflight.coalesced, so it rides the same exemption.
@@ -56,7 +56,7 @@ def run(policy, sequence, advice):
         key: value
         for key, value in vm.metrics_snapshot()["counters"].items()
         if not key.startswith(("engine.cluster.", "engine.inflight.",
-                               "io.queue.", "space.inflight_wait"))
+                               "space.inflight_wait"))
     }
     return vm.clock.now(), counters, data
 

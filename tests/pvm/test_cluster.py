@@ -68,12 +68,11 @@ def touch_sequential(vm, context, pages, write=True):
 
 def counters_sans_cluster(vm):
     # Drop the mechanism-shape counters clustering is allowed to move
-    # (window sizes, pull spans, queued requests); the accounting ones
+    # (window sizes, pull spans); the accounting ones
     # must stay bit-identical.
     counters = dict(vm.metrics_snapshot()["counters"])
     return {key: value for key, value in counters.items()
-            if not key.startswith(("engine.cluster.", "engine.inflight.",
-                                   "io.queue."))}
+            if not key.startswith(("engine.cluster.", "engine.inflight."))}
 
 
 # ---------------------------------------------------------------------------

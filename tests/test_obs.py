@@ -121,6 +121,18 @@ class TestLabeledSeries:
         assert registry.labeled_counters("c") == {}
         assert registry.counter_value("other") == 1
 
+    def test_dropped_series_leave_the_series_base_cache(self):
+        registry = MetricsRegistry()
+        registry.inc("c", 1, labels={"k": "a"})
+        registry.inc("c", 1, labels={"k": "b"})
+        registry.inc("d", 1, labels={"k": "a"})
+        registry.drop_counters(["c{k=a}"])
+        assert set(registry._series_base) == {"c{k=b}", "d{k=a}"}
+        registry.drop_counters(["d"])
+        assert set(registry._series_base) == {"c{k=b}"}
+        registry.reset()
+        assert registry._series_base == {}
+
     def test_labeled_observe_feeds_both_histograms(self):
         registry = MetricsRegistry()
         registry.observe("depth", 2.0, labels={"backend": "pvm"})

@@ -1,5 +1,5 @@
-"""The pressure observatory: per-space ledgers, PSI stall windows,
-cross-thread span adoption, and the ``repro top`` view.
+"""The pressure observatory: per-space ledgers, PSI stall windows
+and the ``repro top`` view.
 
 Three contracts under test:
 
@@ -14,17 +14,14 @@ Three contracts under test:
   charges it, so running with accounting on cannot move virtual time.
 """
 
-import json
-
 import pytest
 
 from repro.gmi.types import Protection
 from repro.gmi.upcalls import ZeroFillProvider
 from repro.obs import (
-    MetricsRegistry, PressureBoard, RingBufferSink, SpaceAccount,
-    StallWindow, extent_overlap_pages,
+    MetricsRegistry, PressureBoard, SpaceAccount, StallWindow,
+    extent_overlap_pages,
 )
-from repro.obs.export import _tree, write_chrome_trace
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB
 
@@ -185,13 +182,13 @@ class TestBoardLedgers:
         with board.stall("pull"):
             clock["now"] = 5.0
         board.end_task()
-        board.note_stall("io.queue")
+        board.note_stall("throttle")
         board.publish()
         gauges = registry.snapshot()["gauges"]
         assert gauges["psi.memory.some.avg10"] == pytest.approx(0.5)
         assert gauges["psi.memory.some.total_ms"] == pytest.approx(5.0)
         assert gauges["psi.stall.count{kind=pull}"] == 1.0
-        assert gauges["psi.stall.count{kind=io.queue}"] == 1.0
+        assert gauges["psi.stall.count{kind=throttle}"] == 1.0
         assert gauges["space.stall_ms{space=5}"] == pytest.approx(5.0)
         assert gauges["psi.memory.some.avg10{space=5}"] \
             == pytest.approx(0.5)
@@ -204,7 +201,7 @@ class TestBoardLedgers:
         board.pulled(4)
         with board.stall("pull"):
             clock["now"] = 9.0
-        board.note_stall("io.queue")
+        board.note_stall("throttle")
         board.eviction({2})
         board.end_task()
         board.publish()
@@ -353,59 +350,6 @@ class TestInflightSeriesCache:
 
 
 # ---------------------------------------------------------------------------
-# Cross-thread span adoption (satellite 1)
-# ---------------------------------------------------------------------------
-
-def _run_storm(io_threads: int):
-    from repro.bench.harness import WORKLOADS
-
-    workload = WORKLOADS["writeback_storm"]
-    state = workload.setup("pvm", None, io_threads)
-    vm = state["vm"]
-    sink = RingBufferSink(capacity=8192)
-    vm.probe.set_sink(sink)
-    workload.body(state)
-    io = vm.io
-    io.flush()
-    io.close()
-    return vm, sink
-
-
-class TestSpanAdoption:
-    def test_byte_halves_nest_under_submitting_spans(self, tmp_path):
-        vm, sink = _run_storm(io_threads=2)
-        spans = list(sink.spans)
-        by_id = {span.span_id: span for span in spans}
-        writes = [span for span in spans if span.name == "io.write_range"]
-        assert writes, "the storm should defer write byte-halves"
-        for span in writes:
-            parent = by_id.get(span.parent_id)
-            assert parent is not None, \
-                "adopted span lost its submitting parent"
-            assert parent.name == "cache.push_out"
-            assert span.depth == parent.depth + 1
-        # The Chrome export nests them below the submitting span.
-        _, children = _tree([span for span in spans
-                             if span.end_ms is not None])
-        for span in writes:
-            assert span in children[span.parent_id]
-        trace_path = tmp_path / "storm.json"
-        write_chrome_trace(spans, trace_path)
-        events = json.loads(trace_path.read_text())["traceEvents"]
-        assert any(event.get("name") == "io.write_range"
-                   for event in events)
-
-    def test_synchronous_path_needs_no_adoption(self):
-        vm, sink = _run_storm(io_threads=0)
-        assert all(span.name != "io.write_range" for span in sink.spans)
-
-    def test_adopted_ids_are_unique(self):
-        vm, sink = _run_storm(io_threads=2)
-        ids = [span.span_id for span in sink.spans]
-        assert len(ids) == len(set(ids))
-
-
-# ---------------------------------------------------------------------------
 # The top view
 # ---------------------------------------------------------------------------
 
@@ -434,7 +378,7 @@ class TestTopView:
 
         totals = []
         for _ in range(2):
-            state = build_mix(io_threads=0)
+            state = build_mix()
             for _round in range(2):
                 mix_round(state)
             totals.append((state["clock"].now(),
