@@ -7,10 +7,6 @@ from repro.bench.costmodel import (
 from repro.bench.experiments import (
     cow_table, derived_metrics, zero_fill_table,
 )
-from repro.bench.harness import (
-    BENCH_RESULT_SCHEMA, WORKLOADS, compare, format_compare, record,
-    run_suite,
-)
 from repro.bench.tables import format_grid
 
 __all__ = [
@@ -22,10 +18,4 @@ __all__ = [
     "cow_table",
     "derived_metrics",
     "format_grid",
-    "BENCH_RESULT_SCHEMA",
-    "WORKLOADS",
-    "compare",
-    "format_compare",
-    "record",
-    "run_suite",
 ]

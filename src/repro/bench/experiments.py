@@ -136,7 +136,7 @@ def tenant_storm_ablation(backend: str = "pvm") -> Dict[str, Dict[str, float]]:
     fails and global reclaim punishes every tenant alike.  Returns one
     metrics row per variant (``arbitrated`` / ``unarbitrated``).
     """
-    from repro.bench.harness import (
+    from repro.workloads.cells import (
         STORM_BUDGET, STORM_FLOOR, _tenant_storm_body, _tenant_storm_setup,
     )
 

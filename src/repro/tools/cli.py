@@ -152,7 +152,7 @@ def cmd_obs_dump(args) -> int:
     from repro.units import MB
 
     if args.workload:
-        from repro.bench.harness import WORKLOADS
+        from repro.workloads.cells import WORKLOADS
         workload = WORKLOADS.get(args.workload)
         if workload is None:
             print(f"unknown workload {args.workload!r} "
@@ -204,7 +204,7 @@ def cmd_obs_dump(args) -> int:
 
 def cmd_bench(args) -> int:
     """Record a flight-recorder run and/or gate on a baseline."""
-    from repro.bench.harness import (
+    from repro.workloads.cells import (
         compare, format_compare, load, record, run_suite,
     )
 
@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
     from repro import (
         MachVirtualMemory, PagedVirtualMemory, RealTimeVirtualMemory,
     )
-    from repro.bench.harness import compare, format_compare, load, run_suite
+    from repro.workloads.cells import compare, format_compare, load, run_suite
     from repro.obs.schema import SNAPSHOT_SCHEMA, validate
     from repro.units import MB
 
@@ -359,7 +359,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      help="memory manager to exercise (default: pvm)")
     obs.add_argument("--workload", default=None, metavar="NAME",
                      help="run a named bench workload instead of the "
-                          "canonical obs scenario (see repro.bench.harness)")
+                          "canonical obs scenario (see repro.workloads.cells)")
     obs.add_argument("--trace-out", default=None, metavar="FILE",
                      help="write the span buffer as Chrome-trace JSON")
     obs.add_argument("--stacks-out", default=None, metavar="FILE",

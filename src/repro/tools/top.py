@@ -37,7 +37,7 @@ def build_mix() -> dict:
     memory personalities on one SUN-3/60-calibrated PVM nucleus,
     arbitrated by a working-set balancer so the grant/WSS columns are
     live."""
-    from repro.bench.harness import build_nucleus
+    from repro.workloads.cells import build_nucleus
     from repro.gmi.types import Protection
     from repro.pressure import (
         AdmissionController, BalancerDaemon, FrameArbiter,

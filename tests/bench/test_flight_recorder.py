@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.harness import (
+from repro.workloads.cells import (
     BACKENDS, BENCH_RESULT_SCHEMA, WORKLOADS, compare, format_compare,
     run_suite, run_workload, record,
 )
@@ -87,7 +87,7 @@ class TestTraceReplayCells:
                             repeats=1)
 
     def test_cell_records_the_access_gauge(self, trace_cell):
-        from repro.bench.harness import TRACE_REPLAY_ACCESSES
+        from repro.workloads.cells import TRACE_REPLAY_ACCESSES
         gauges = trace_cell["metrics"]["gauges"]
         assert gauges["trace.accesses"] == float(TRACE_REPLAY_ACCESSES)
         counters = trace_cell["metrics"]["counters"]
