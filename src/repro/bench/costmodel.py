@@ -103,10 +103,16 @@ MACH_SUN360 = CostModel({
 SUN360_MEMORY = 8 * MB
 SUN360_PAGE = 8 * KB
 
+#: TLB entries modelled on the benchmark hardware (the SUN-3/60's
+#: 68030-style translation cache).  Translation is free on the virtual
+#: clock, so the TLB moves wall time and hit-rate gauges only.
+SUN360_TLB_ENTRIES = 64
 
-def chorus_nucleus(**kwargs) -> Nucleus:
-    """A Nucleus over the PVM, priced with the Chorus profile."""
-    return Nucleus(vm_class=PagedVirtualMemory,
+
+def chorus_nucleus(vm_class=PagedVirtualMemory, **kwargs) -> Nucleus:
+    """A Nucleus over *vm_class* (the PVM by default), priced with the
+    Chorus profile."""
+    return Nucleus(vm_class=vm_class,
                    memory_size=kwargs.pop("memory_size", SUN360_MEMORY),
                    page_size=SUN360_PAGE,
                    cost_model=CHORUS_SUN360, **kwargs)

@@ -7,15 +7,13 @@ loc       print the Table 5 component-size analogue
 figure3   replay the Figure 3 scenarios with live tree rendering
 info      one-paragraph summary of the reproduction and its versions
 obs-dump  run a small workload and emit a JSON metrics snapshot
-          (optionally a named bench workload, with Chrome-trace and
+          (optionally a named bench cell, with Chrome-trace and
           collapsed-stack exports)
-bench     record a BENCH_<n>.json flight-recorder run, or compare two
-          runs and gate on wall-time regressions
 top       run the multi-space pressure mix and render per-space
           RSS / fault / stall tables under a PSI header
 layers    verify the layer contract (docs/ARCHITECTURE.md import rules)
-verify    layers + obs-schema validation + bench regression gate in
-          one command (the pre-merge check)
+verify    layers + obs-schema validation + the exact cell virtual-time
+          golden in one command (the pre-merge check)
 """
 
 from __future__ import annotations
@@ -202,40 +200,6 @@ def cmd_obs_dump(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Record a flight-recorder run and/or gate on a baseline."""
-    from repro.workloads.cells import (
-        compare, format_compare, load, record, run_suite,
-    )
-
-    workloads = args.workloads.split(",") if args.workloads else None
-    backends = args.backends.split(",") if args.backends else None
-    current = None
-    if args.record:
-        current = record(args.out, workloads=workloads, backends=backends,
-                         repeats=args.repeats, label=args.label,
-                         cluster=args.cluster)
-        print(f"recorded {len(current['results'])} cells to {args.out}")
-    if args.compare:
-        baseline = load(args.compare)
-        if current is None:
-            if args.current:
-                current = load(args.current)
-            else:
-                current = run_suite(workloads=workloads, backends=backends,
-                                    repeats=args.repeats, label=args.label,
-                                    cluster=args.cluster)
-        report = compare(baseline, current, threshold=args.threshold)
-        print(format_compare(report))
-        if report["regressions"]:
-            return 1
-    elif not args.record:
-        print("nothing to do: pass --record and/or --compare",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
 def cmd_top(args) -> int:
     """Run the pressure mix and render per-space tables."""
     from repro.tools.top import run_top
@@ -258,18 +222,17 @@ def cmd_layers(_args) -> int:
 
 def cmd_verify(args) -> int:
     """One-stop gate: layer contract + obs-schema consistency + live
-    snapshot validation + the bench wall-time regression gate."""
+    snapshot validation + the exact cell virtual-time golden."""
     import json
     import pathlib
-    import re
 
     import repro
     from repro import (
         MachVirtualMemory, PagedVirtualMemory, RealTimeVirtualMemory,
     )
-    from repro.workloads.cells import compare, format_compare, load, run_suite
     from repro.obs.schema import SNAPSHOT_SCHEMA, validate
     from repro.units import MB
+    from repro.workloads.cells import cell_ids, golden_diff, measure
 
     failures: List[str] = []
 
@@ -304,28 +267,25 @@ def cmd_verify(args) -> int:
         else:
             print(f"{name}: live snapshot validates")
 
-    print("== bench regression gate ==")
-    baseline_path = args.baseline
-    if baseline_path is None:
-        recorded = sorted(
-            repo_root.glob("BENCH_*.json"),
-            key=lambda path: int(re.sub(r"\D", "", path.stem) or 0))
-        baseline_path = str(recorded[-1]) if recorded else None
-    if baseline_path is None:
-        print("no BENCH_*.json baseline found; skipping the gate")
+    print("== cell golden ==")
+    golden_file = repo_root / "tests" / "goldens" / "cell_virtual_time.json"
+    if golden_file.exists():
+        golden = json.loads(golden_file.read_text())
+        measured = {cell: measure(*cell.split("/")) for cell in cell_ids()}
+        diff = golden_diff(golden, measured)
+        for cell, (expected, got) in diff.items():
+            print(f"DRIFT {cell}: golden {expected}, measured {got}")
+        if diff:
+            failures.append("cell golden")
+        else:
+            print(f"{len(measured)} cells match {golden_file} exactly")
     else:
-        baseline = load(baseline_path)
-        current = run_suite(repeats=args.repeats)
-        report = compare(baseline, current, threshold=args.threshold)
-        print(f"baseline: {baseline_path}")
-        print(format_compare(report))
-        if report["regressions"]:
-            failures.append("bench regression")
+        print("checked-in cell golden not found; skipping the check")
 
     if failures:
         print(f"\nverify FAILED: {', '.join(failures)}")
         return 1
-    print("\nverify ok: layers + obs schema + bench gate all pass")
+    print("\nverify ok: layers + obs schema + cell golden all pass")
     return 0
 
 
@@ -335,7 +295,6 @@ COMMANDS = {
     "figure3": cmd_figure3,
     "info": cmd_info,
     "obs-dump": cmd_obs_dump,
-    "bench": cmd_bench,
     "top": cmd_top,
     "layers": cmd_layers,
     "verify": cmd_verify,
@@ -358,7 +317,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      default="pvm",
                      help="memory manager to exercise (default: pvm)")
     obs.add_argument("--workload", default=None, metavar="NAME",
-                     help="run a named bench workload instead of the "
+                     help="run a named bench cell instead of the "
                           "canonical obs scenario (see repro.workloads.cells)")
     obs.add_argument("--trace-out", default=None, metavar="FILE",
                      help="write the span buffer as Chrome-trace JSON")
@@ -376,52 +335,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     top.add_argument("--interval", type=float, default=0.0,
                      metavar="SECONDS",
                      help="wall-clock pause between frames (default: 0)")
-    bench = subparsers.add_parser(
-        "bench",
-        help="record and/or compare flight-recorder runs")
-    bench.add_argument("--record", action="store_true",
-                       help="run the suite and write the result document")
-    bench.add_argument("--out", default="BENCH_10.json", metavar="FILE",
-                       help="where --record writes (default: BENCH_10.json)")
-    bench.add_argument("--cluster", default="adaptive",
-                       choices=("off", "fixed", "adaptive"),
-                       help="fault-clustering (read-ahead) policy for "
-                            "the run (default: adaptive); virtual times "
-                            "are identical across settings by design")
-    bench.add_argument("--compare", default=None, metavar="BASELINE",
-                       help="baseline document to gate against")
-    bench.add_argument("--current", default=None, metavar="FILE",
-                       help="with --compare: use this recorded document "
-                            "instead of running the suite")
-    bench.add_argument("--threshold", type=float, default=1.5,
-                       help="wall-time regression gate, as a ratio "
-                            "(default: 1.5)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="wall-time samples per cell; best is kept "
-                            "(default: 3)")
-    bench.add_argument("--workloads", default=None,
-                       help="comma-separated workload subset")
-    bench.add_argument("--backends", default=None,
-                       help="comma-separated backend subset")
-    bench.add_argument("--label", default=None,
-                       help="free-form label stored in the document meta")
-    verify = subparsers.add_parser(
+    subparsers.add_parser(
         "verify",
-        help="run the layer, obs-schema and bench gates in one shot")
-    verify.add_argument("--baseline", default=None, metavar="FILE",
-                        help="bench baseline (default: newest "
-                             "BENCH_*.json at the repo root)")
-    verify.add_argument("--threshold", type=float, default=2.0,
-                        help="wall-time regression gate, as a ratio "
-                             "(default: 2.0 — shared hosts swing "
-                             "~1.9x between fast and slow windows; "
-                             "virtual time is gated exactly by the "
-                             "golden tests, not here)")
-    verify.add_argument("--repeats", type=int, default=5,
-                        help="wall-time samples per bench cell "
-                             "(default: 5 — the checked-in baselines "
-                             "are best-of-10, so a short current run "
-                             "reads high on a noisy host)")
+        help="run the layer, obs-schema and cell-golden gates in one shot")
     args = parser.parse_args(argv)
     return COMMANDS[args.command](args)
 

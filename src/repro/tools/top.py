@@ -37,7 +37,7 @@ def build_mix() -> dict:
     memory personalities on one SUN-3/60-calibrated PVM nucleus,
     arbitrated by a working-set balancer so the grant/WSS columns are
     live."""
-    from repro.workloads.cells import build_nucleus
+    from repro.bench.costmodel import SUN360_TLB_ENTRIES, chorus_nucleus
     from repro.gmi.types import Protection
     from repro.pressure import (
         AdmissionController, BalancerDaemon, FrameArbiter,
@@ -50,7 +50,8 @@ def build_mix() -> dict:
         ws=WorkingSetEstimator(),
         qos=AdmissionController(window_ms=10.0, fault_limit=64),
     )
-    nucleus = build_nucleus("pvm", arbiter=arbiter)
+    nucleus = chorus_nucleus(tlb_entries=SUN360_TLB_ENTRIES,
+                             arbiter=arbiter)
     vm = nucleus.vm
     page = vm.page_size
 

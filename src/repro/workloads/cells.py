@@ -1,99 +1,63 @@
-"""Bench flight recorder: named workloads, recorded runs, regression gate.
+"""The bench cells: named scenarios gated on exact virtual time.
 
-``run_suite`` executes a suite of named workloads (the Table 6/7 cells
-plus the fork, pageout and DSM shapes used by the ablations) over the
-three memory managers, capturing for each (workload, backend) cell:
-
-* **wall_ms** — best-of-N host wall time of the workload body (the
-  only machine-dependent number; N fresh systems are built so runs
-  never share caches);
-* **virtual_ms** — the deterministic virtual-clock cost of the same
-  body (bit-identical from run to run, and unaffected by tracing);
-* **metrics** — the full ``metrics_snapshot()`` document, labeled
-  series included.
-
-``record`` writes the suite result as JSON (``BENCH_<n>.json`` at the
-repo root by convention), validated against
-:data:`BENCH_RESULT_SCHEMA`.  ``compare`` diffs two recorded documents
-and flags any cell whose wall time grew by more than a configurable
-factor — the CI regression gate (``python -m repro bench --compare``).
-
-Workloads are split into ``setup`` (build the system, pre-populate
-data — untimed) and ``body`` (the measured mechanism), so ``obs-dump
+Each :class:`Workload` is a setup/body pair — the Table 6/7 cells plus
+the fork, pageout, DSM, write-back, extent, multi-tenant and
+trace-replay shapes the ablations use — that runs over one or more of
+the three memory managers.  ``setup`` builds the system and
+pre-populates data; ``body`` is the measured mechanism, so ``obs-dump
 --workload`` can attach a span sink between the two and trace exactly
-the measured part.
+that part.
+
+A *cell* is one (workload, backend, cluster) triple.  :func:`measure`
+runs one and returns the body's virtual time and its plain fault and
+upcall counts; ``tests/goldens/cell_virtual_time.json`` holds the
+expected values of every cell, compared with ``==`` by the tier-1
+tests and by ``python -m repro verify`` through :func:`golden_diff`.
+Wall time is not measured here: ``perf/`` is the wall-time benchmark.
 """
 
 from __future__ import annotations
 
-import gc
-import json
-import time
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.costmodel import (
-    CHORUS_SUN360, MACH_SUN360, SUN360_MEMORY, SUN360_PAGE,
+    CHORUS_SUN360, SUN360_TLB_ENTRIES, chorus_nucleus, mach_nucleus,
 )
 from repro.kernel.clock import ClockRegion
-from repro.obs.schema import SNAPSHOT_SCHEMA, validate
+from repro.minimal.minimal_vm import RealTimeVirtualMemory
 from repro.units import KB
 
 __all__ = [
-    "BACKENDS", "BENCH_RESULT_SCHEMA", "RESULT_VERSION", "WORKLOADS",
-    "Workload", "build_nucleus", "compare", "format_compare", "load",
-    "record", "run_suite", "run_workload",
+    "BACKENDS", "CLUSTERS", "GOLDEN_COUNTERS", "WORKLOADS", "Workload",
+    "cell_ids", "golden_diff", "measure",
 ]
 
-#: Memory managers the suite covers, in recording order.
-BACKENDS = ("pvm", "mach", "minimal")
+#: Nucleus factory per memory manager; the minimal manager is priced
+#: with the Chorus profile.
+FACTORIES: Dict[str, Callable] = {
+    "pvm": chorus_nucleus,
+    "mach": mach_nucleus,
+    "minimal": functools.partial(chorus_nucleus,
+                                 vm_class=RealTimeVirtualMemory),
+}
 
-RESULT_VERSION = 1
+#: Memory managers the cells cover, in suite order.
+BACKENDS = tuple(FACTORIES)
 
 REGION_BASE = 0x0100_0000
 SRC_BASE = 0x0200_0000
 
 
-#: TLB entries modelled on the benchmark hardware (the SUN-3/60's
-#: 68030-style translation cache).  Translation is free on the virtual
-#: clock, so the TLB affects wall time and hit-rate gauges only.
-BENCH_TLB_ENTRIES = 64
-
-
-def build_nucleus(backend: str, cluster=None, arbiter=None):
-    """A fresh Nucleus on SUN-3/60-calibrated hardware for *backend*
-    (``pvm``, ``mach`` or ``minimal``).
-
-    *cluster* is a fault-clustering policy spec (``off`` / ``fixed`` /
-    ``adaptive`` / None); read-ahead is charge-replayed, so it changes
-    wall time and upcall counts but never virtual time.  *arbiter* is
-    a :class:`repro.pressure.FrameArbiter` for the manager's cache
-    engine (None = a fresh inert arbiter, the legacy behaviour).
-    """
-    from repro.mach.mach_vm import MachVirtualMemory
-    from repro.minimal.minimal_vm import RealTimeVirtualMemory
-    from repro.nucleus.nucleus import Nucleus
-    from repro.pvm.pvm import PagedVirtualMemory
-
-    vm_class, cost_model = {
-        "pvm": (PagedVirtualMemory, CHORUS_SUN360),
-        "mach": (MachVirtualMemory, MACH_SUN360),
-        "minimal": (RealTimeVirtualMemory, CHORUS_SUN360),
-    }[backend]
-    return Nucleus(vm_class=vm_class, cost_model=cost_model,
-                   memory_size=SUN360_MEMORY, page_size=SUN360_PAGE,
-                   tlb_entries=BENCH_TLB_ENTRIES, cluster_policy=cluster,
-                   arbiter=arbiter)
-
-
 @dataclass(frozen=True)
 class Workload:
-    """One named benchmark: untimed *setup*, measured *body*.
+    """One named scenario: unmeasured *setup*, measured *body*.
 
     ``setup(backend, cluster)`` returns a state dict that
     must carry ``clock`` (the virtual clock the body charges) and
-    ``vm`` (the manager whose metrics are snapshotted); ``body(state)``
-    runs the measured mechanism.
+    ``vm`` (the manager whose counters :func:`measure` reads);
+    ``body(state)`` runs the measured mechanism.
     """
 
     name: str
@@ -107,7 +71,8 @@ class Workload:
 
 def _nucleus_state(backend: str, cluster=None, arbiter=None,
                    **extra) -> dict:
-    nucleus = build_nucleus(backend, cluster=cluster, arbiter=arbiter)
+    nucleus = FACTORIES[backend](tlb_entries=SUN360_TLB_ENTRIES,
+                                 cluster_policy=cluster, arbiter=arbiter)
     state = {"nucleus": nucleus, "vm": nucleus.vm, "clock": nucleus.clock}
     state.update(extra)
     return state
@@ -306,9 +271,8 @@ def _writeback_storm_body(state: dict) -> None:
 
 
 #: Pages in the ``huge_map`` sparse region: large enough that any
-#: per-page representation or O(pages) walk in the map path would blow
-#: the wall-time budget, small enough that the O(extents) path is
-#: instant.
+#: per-page representation or O(pages) walk in the map path would take
+#: seconds, small enough that the O(extents) path is instant.
 HUGE_MAP_PAGES = 1_000_000
 
 HUGE_MAP_TOUCHES = 64
@@ -413,9 +377,9 @@ def _tenant_storm_body(state: dict) -> None:
 TRACE_REPLAY_ACCESSES = 1_000_000
 TRACE_REPLAY_PAGES = 512
 
-#: Compiled bench traces, by kind.  Compilation is pure input
-#: preparation (shared by every repeat and backend), so it happens
-#: once per process, outside any timed window.
+#: Compiled cell traces, by kind.  Compilation is pure input
+#: preparation (shared by every cluster setting), so it happens once
+#: per process, in setup.
 _TRACE_CACHE: Dict[str, object] = {}
 
 
@@ -460,16 +424,13 @@ def _trace_replay_setup(kind: str):
 def _trace_replay_body(state: dict) -> None:
     # Bulk-replay the compiled columns: resident pages retire in
     # aggregate, capacity misses fall into the scalar fault engine.
-    # The access count lands in the ``trace.accesses`` gauge so the
-    # compare table can derive accesses per second from wall time.
-    vm, trace = state["vm"], state["trace"]
-    count = state["vbus"].replay(
+    trace = state["trace"]
+    state["vbus"].replay(
         state["actor"].context.space, trace.pages, trace.writes,
-        base_vpn=REGION_BASE // vm.page_size)
-    vm.probe.registry.set_gauge("trace.accesses", float(count))
+        base_vpn=REGION_BASE // state["vm"].page_size)
 
 
-#: The named suite, in recording order.
+#: The named cells, in suite order.
 WORKLOADS: Dict[str, Workload] = {
     workload.name: workload for workload in (
         Workload("zero_fill",
@@ -535,326 +496,50 @@ WORKLOADS: Dict[str, Workload] = {
 }
 
 
-# -- recording -----------------------------------------------------------------
 
-def run_workload(workload: Workload, backend: str, repeats: int = 3,
-                 cluster=None) -> dict:
-    """One (workload, backend) cell: best-of-*repeats* wall time, the
-    deterministic virtual time, and a full metrics snapshot."""
-    if backend not in workload.backends:
+
+# -- the virtual-time golden ---------------------------------------------------
+
+#: Cluster settings every cell is gated at: read-ahead replays the
+#: charges a one-page pull would make, so it must not move a cell.
+CLUSTERS = ("off", "adaptive")
+
+#: The plain counters a cell records, as increments over the body.
+GOLDEN_COUNTERS = ("fault.read", "fault.write", "pull_in", "push_out")
+
+Cell = Dict[str, float]
+
+
+def cell_ids() -> List[str]:
+    """Every ``workload/backend/cluster`` cell, in suite order."""
+    return [f"{name}/{backend}/{cluster}"
+            for name, workload in WORKLOADS.items()
+            for backend in workload.backends
+            for cluster in CLUSTERS]
+
+
+def measure(workload: str, backend: str, cluster: str) -> Cell:
+    """Run one cell: the body's exact virtual ms, and how many read
+    and write faults, pullIns and pushOuts the body caused."""
+    spec = WORKLOADS[workload]
+    if backend not in spec.backends:
         raise ValueError(
-            f"workload {workload.name!r} does not run on {backend!r}")
-    wall_ms_all: List[float] = []
-    # Timed repeats run with the metrics registry paused — the obs
-    # idle fast path — so wall time measures the mechanisms, not the
-    # bookkeeping.  Virtual time is deterministic either way.
-    for _ in range(repeats):
-        state = workload.setup(backend, cluster)
-        registry = state["vm"].probe.registry
-        registry.enabled = False
-        # Sweep the previous repeat's garbage before the timer starts
-        # and keep the collector out of the timed body: a gen-2 pass
-        # landing mid-repeat would be charged to whichever workload
-        # happened to trip it, not the one that produced the garbage.
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            workload.body(state)
-            wall_ms_all.append((time.perf_counter() - start) * 1000.0)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            registry.enabled = True
-    # One untimed instrumented pass supplies the golden virtual time
-    # and the full metrics snapshot.
-    state = workload.setup(backend, cluster)
+            f"workload {workload!r} does not run on {backend!r}")
+    state = spec.setup(backend, cluster)
+    registry = state["vm"].probe.registry
+    before = [registry.counter_value(name) for name in GOLDEN_COUNTERS]
     with ClockRegion(state["clock"]) as timer:
-        workload.body(state)
-    virtual_ms = timer.elapsed
-    metrics = state["vm"].metrics_snapshot()
-    return {
-        "workload": workload.name,
-        "backend": backend,
-        "repeats": repeats,
-        "wall_ms": min(wall_ms_all),
-        "wall_ms_all": wall_ms_all,
-        "virtual_ms": virtual_ms,
-        "metrics": metrics,
-    }
+        spec.body(state)
+    cell: Cell = {"virtual_ms": timer.elapsed}
+    for name, start in zip(GOLDEN_COUNTERS, before):
+        cell[name] = registry.counter_value(name) - start
+    return cell
 
 
-def run_suite(workloads: Optional[Sequence[str]] = None,
-              backends: Optional[Sequence[str]] = None,
-              repeats: int = 3,
-              label: Optional[str] = None,
-              cluster: Optional[str] = "adaptive") -> dict:
-    """Run the named suite; returns the recordable result document.
-
-    *cluster* selects the fault-clustering policy the managers run
-    with (``"adaptive"`` by default — the shipping configuration;
-    pass ``"off"``/None for the one-page-per-fault baseline).
-    Virtual times are identical either way; wall time and upcall
-    counts are what the knob moves.
-    """
-    names = list(workloads) if workloads else list(WORKLOADS)
-    unknown = [name for name in names if name not in WORKLOADS]
-    if unknown:
-        raise ValueError(f"unknown workloads: {', '.join(unknown)} "
-                         f"(known: {', '.join(WORKLOADS)})")
-    selected_backends = tuple(backends) if backends else BACKENDS
-    unknown = [name for name in selected_backends if name not in BACKENDS]
-    if unknown:
-        raise ValueError(f"unknown backends: {', '.join(unknown)}")
-    if cluster == "off":
-        cluster = None
-    results = []
-    for name in names:
-        workload = WORKLOADS[name]
-        for backend in selected_backends:
-            if backend not in workload.backends:
-                continue
-            results.append(run_workload(workload, backend, repeats=repeats,
-                                        cluster=cluster))
-    document = {
-        "meta": {"version": RESULT_VERSION, "repeats": repeats,
-                 "cluster": cluster or "off"},
-        "results": results,
-    }
-    if label:
-        document["meta"]["label"] = label
-    return document
-
-
-def record(path, workloads: Optional[Sequence[str]] = None,
-           backends: Optional[Sequence[str]] = None,
-           repeats: int = 3, label: Optional[str] = None,
-           cluster: Optional[str] = "adaptive") -> dict:
-    """Run the suite, validate the document, write it to *path*."""
-    document = run_suite(workloads=workloads, backends=backends,
-                         repeats=repeats, label=label, cluster=cluster)
-    errors = validate(document, BENCH_RESULT_SCHEMA)
-    if errors:
-        raise ValueError("recorded document violates BENCH_RESULT_SCHEMA: "
-                         + "; ".join(errors))
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return document
-
-
-def load(path) -> dict:
-    """Read a recorded result document back."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-# -- the regression gate --------------------------------------------------------
-
-def compare(baseline: dict, current: dict, threshold: float = 1.5) -> dict:
-    """Diff two recorded documents cell by cell.
-
-    A cell *regresses* when its wall time grew by more than
-    *threshold*× over the baseline.  Virtual-time drift is reported
-    too (it should be exactly 0.0 — the virtual clock is
-    deterministic — so any drift means the mechanisms changed), but
-    only wall time gates.  Each row also carries the cell's TLB hit
-    rate and memory-stall share (``psi.memory.some.total_ms`` over the
-    cell's virtual time) on both sides, and — for trace-replay cells,
-    which record a ``trace.accesses`` gauge — replayed accesses per
-    second of wall time on both sides.
-    """
-    baseline_cells = {(cell["workload"], cell["backend"]): cell
-                      for cell in baseline["results"]}
-    current_cells = {(cell["workload"], cell["backend"]): cell
-                     for cell in current["results"]}
-    rows = []
-    regressions = []
-    for key, cell in current_cells.items():
-        base = baseline_cells.get(key)
-        if base is None:
-            rows.append({"workload": key[0], "backend": key[1],
-                         "status": "new",
-                         "wall_ms": cell["wall_ms"],
-                         "baseline_wall_ms": None, "wall_ratio": None,
-                         "virtual_drift_ms": None,
-                         "baseline_tlb_hit_rate": None,
-                         "tlb_hit_rate": _tlb_hit_rate(cell),
-                         "baseline_stall_fraction": None,
-                         "stall_fraction": _stall_fraction(cell),
-                         "baseline_accesses_per_s": None,
-                         "accesses_per_s": _access_rate(cell)})
-            continue
-        if base["wall_ms"] > 0:
-            ratio = cell["wall_ms"] / base["wall_ms"]
-        else:
-            ratio = float("inf") if cell["wall_ms"] > 0 else 1.0
-        regressed = ratio > threshold
-        base_virtual = base.get("virtual_ms")
-        cell_virtual = cell.get("virtual_ms")
-        row = {"workload": key[0], "backend": key[1],
-               "status": "regressed" if regressed else "ok",
-               "wall_ms": cell["wall_ms"],
-               "baseline_wall_ms": base["wall_ms"],
-               "wall_ratio": ratio,
-               "virtual_drift_ms":
-                   None if base_virtual is None or cell_virtual is None
-                   else cell_virtual - base_virtual,
-               "baseline_tlb_hit_rate": _tlb_hit_rate(base),
-               "tlb_hit_rate": _tlb_hit_rate(cell),
-               "baseline_stall_fraction": _stall_fraction(base),
-               "stall_fraction": _stall_fraction(cell),
-               "baseline_accesses_per_s": _access_rate(base),
-               "accesses_per_s": _access_rate(cell)}
-        rows.append(row)
-        if regressed:
-            regressions.append(row)
-    for key in baseline_cells:
-        if key not in current_cells:
-            rows.append({"workload": key[0], "backend": key[1],
-                         "status": "missing",
-                         "wall_ms": None,
-                         "baseline_wall_ms": baseline_cells[key]["wall_ms"],
-                         "wall_ratio": None, "virtual_drift_ms": None,
-                         "baseline_tlb_hit_rate":
-                             _tlb_hit_rate(baseline_cells[key]),
-                         "tlb_hit_rate": None,
-                         "baseline_stall_fraction":
-                             _stall_fraction(baseline_cells[key]),
-                         "stall_fraction": None,
-                         "baseline_accesses_per_s":
-                             _access_rate(baseline_cells[key]),
-                         "accesses_per_s": None})
-    rows.sort(key=lambda row: (row["workload"], row["backend"]))
-    return {"threshold": threshold, "rows": rows,
-            "regressions": regressions}
-
-
-def _tlb_hit_rate(cell: dict) -> Optional[float]:
-    """The cell's recorded ``tlb.hit_ratio`` gauge, if any."""
-    return cell.get("metrics", {}).get("gauges", {}).get("tlb.hit_ratio")
-
-
-def _gauge(cell: dict, name: str) -> Optional[float]:
-    """A recorded gauge of *cell*, if that recording carries it."""
-    return cell.get("metrics", {}).get("gauges", {}).get(name)
-
-
-def _stall_fraction(cell: dict) -> Optional[float]:
-    """The cell's memory-stall share: ``psi.memory.some.total_ms``
-    over the snapshot's virtual time (None when the recording predates
-    the pressure board)."""
-    total = _gauge(cell, "psi.memory.some.total_ms")
-    if total is None:
-        return None
-    virtual = cell.get("metrics", {}).get("meta", {}).get("virtual_ms")
-    if not virtual:
-        return 0.0 if total == 0.0 else None
-    return total / virtual
-
-
-def _access_rate(cell: dict) -> Optional[float]:
-    """Replayed accesses per second of wall time: the cell's
-    ``trace.accesses`` gauge over its best wall time (None for cells
-    that replay no trace)."""
-    accesses = _gauge(cell, "trace.accesses")
-    wall_ms = cell.get("wall_ms")
-    if not accesses or not wall_ms:
-        return None
-    return accesses * 1000.0 / wall_ms
-
-
-def _format_hit_rate(value: Optional[float]) -> str:
-    return "-" if value is None else f"{value * 100:.1f}%"
-
-
-def _format_rate(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if value >= 1e6:
-        return f"{value / 1e6:.2f}M"
-    return f"{value / 1e3:.0f}k"
-
-
-def format_compare(report: dict) -> str:
-    """Render a compare report as the per-workload delta table."""
-    headers = ("workload", "backend", "base ms", "now ms", "ratio",
-               "vdrift ms", "tlb base", "tlb now", "stall base",
-               "stall now", "acc/s base", "acc/s now", "status")
-    table = [headers]
-    for row in report["rows"]:
-        table.append((
-            row["workload"],
-            row["backend"],
-            "-" if row["baseline_wall_ms"] is None
-            else f"{row['baseline_wall_ms']:.2f}",
-            "-" if row["wall_ms"] is None else f"{row['wall_ms']:.2f}",
-            "-" if row["wall_ratio"] is None
-            else f"{row['wall_ratio']:.2f}x",
-            "-" if row["virtual_drift_ms"] is None
-            else f"{row['virtual_drift_ms']:+.3f}",
-            _format_hit_rate(row.get("baseline_tlb_hit_rate")),
-            _format_hit_rate(row.get("tlb_hit_rate")),
-            _format_hit_rate(row.get("baseline_stall_fraction")),
-            _format_hit_rate(row.get("stall_fraction")),
-            _format_rate(row.get("baseline_accesses_per_s")),
-            _format_rate(row.get("accesses_per_s")),
-            row["status"],
-        ))
-    widths = [max(len(line[col]) for line in table)
-              for col in range(len(headers))]
-    lines = []
-    for index, line in enumerate(table):
-        lines.append("  ".join(
-            cell.ljust(width) if col < 2 else cell.rjust(width)
-            for col, (cell, width) in enumerate(zip(line, widths))))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    gate = (f"REGRESSION: {len(report['regressions'])} cell(s) exceeded "
-            f"{report['threshold']:.2f}x wall time"
-            if report["regressions"]
-            else f"ok: no cell exceeded {report['threshold']:.2f}x wall time")
-    return "\n".join(lines) + "\n\n" + gate
-
-
-# -- result-document schema -----------------------------------------------------
-
-#: Shape of one recorded ``BENCH_<n>.json`` document; each cell embeds
-#: a full metrics snapshot (see :data:`repro.obs.schema.SNAPSHOT_SCHEMA`).
-BENCH_RESULT_SCHEMA = {
-    "type": "object",
-    "required": ["meta", "results"],
-    "properties": {
-        "meta": {
-            "type": "object",
-            "required": ["version", "repeats"],
-            "properties": {
-                "version": {"type": "integer", "minimum": 1},
-                "repeats": {"type": "integer", "minimum": 1},
-                "label": {"type": "string"},
-                "cluster": {"type": "string"},
-            },
-        },
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["workload", "backend", "repeats", "wall_ms",
-                             "wall_ms_all", "virtual_ms", "metrics"],
-                "properties": {
-                    "workload": {"type": "string"},
-                    "backend": {"type": "string"},
-                    "repeats": {"type": "integer", "minimum": 1},
-                    "wall_ms": {"type": "number", "minimum": 0},
-                    "wall_ms_all": {
-                        "type": "array",
-                        "items": {"type": "number", "minimum": 0},
-                    },
-                    "virtual_ms": {"type": "number", "minimum": 0},
-                    "metrics": SNAPSHOT_SCHEMA,
-                },
-            },
-        },
-    },
-}
+def golden_diff(expected: Dict[str, Cell], measured: Dict[str, Cell]
+                ) -> Dict[str, Tuple[Optional[Cell], Optional[Cell]]]:
+    """``{cell: (expected, measured)}`` for every cell that is not
+    exactly equal (``==``, no tolerance) or that only one side has."""
+    return {cell: (expected.get(cell), measured.get(cell))
+            for cell in sorted(set(expected) | set(measured))
+            if expected.get(cell) != measured.get(cell)}
