@@ -270,6 +270,12 @@ class ClusterMixin:
         # hook there never fired — replay it here so `space.pull_bytes`
         # is identical with and without clustering (parity test).
         self.pressure.pulled(1)
+        arbiter = self.cache_engine.arbiter
+        if arbiter.active:
+            # Likewise the refault signal: a page parked after an
+            # eviction is a refault the estimator must see.
+            arbiter.note_pull(cache.cache_id, offset, 1, self.page_size,
+                              self.pressure.current_space())
         granted = entry.zero or mode is AccessMode.WRITE
         page = RealPageDescriptor(cache, offset, entry.frame,
                                   write_granted=granted)

@@ -55,6 +55,15 @@ def test_golden_covers_every_cell():
     assert set(GOLDEN) == set(cell_ids())
 
 
+def test_clustering_is_invisible_in_every_cell():
+    """Read-ahead replays what a one-page pull would charge and count
+    (the arbiter's refault signal included), so the ``adaptive`` entry
+    of every cell must equal its ``off`` entry."""
+    moved = {cell for cell in GOLDEN if cell.endswith("/adaptive")
+             and GOLDEN[cell] != GOLDEN[cell[:-len("adaptive")] + "off"]}
+    assert moved == set()
+
+
 def test_diff_reports_only_the_cell_with_an_extra_charge(monkeypatch):
     """One injected ``PAGE_PROTECT`` in one cell is caught, and
     blamed on that cell alone."""
