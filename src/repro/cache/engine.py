@@ -21,9 +21,10 @@ that machinery once, on top of the shared residency index:
 
 The engine holds no hardware knowledge: frame free, translation
 shootdown and stub re-targeting stay behind the backend's
-``discard_page`` hook.  The ``vm`` collaborator is duck-typed — any
+``discard_page`` hook, and write revocation on a page cleaned in place
+behind ``page_cleaned``.  The ``vm`` collaborator is duck-typed — any
 object with ``clock`` / ``probe`` / ``page_size`` / ``lock`` /
-``discard_page`` works, which is what keeps this package importable
+``discard_page`` / ``page_cleaned`` works, which is what keeps this package importable
 without the backends (layer rule 4).
 """
 
@@ -165,7 +166,7 @@ class CacheEngine:
                             page_size, mode)
 
     def push(self, cache, offset: int, size: int,
-             reason: str = "flush") -> None:
+             reason: str = "flush", keep: bool = False) -> None:
         """Drive pushOut for ``[offset, offset+size)`` and clean the
         resident pages it covers.
 
@@ -174,6 +175,10 @@ class CacheEngine:
         on this thread, and the pages are marked clean only after it
         returns: a page is clean only once its bytes have landed, so a
         mapper error reaches the caller with the whole run still dirty.
+        *keep* says the pages stay resident (daemon, sync): each
+        cleaned page then goes through the backend's ``page_cleaned``
+        hook, so its next store is seen.  Pages about to be evicted
+        skip the hook.
         """
         vm = self.vm
         page_size = vm.page_size
@@ -201,6 +206,8 @@ class CacheEngine:
             resident = cache.pages.get(offset + index * page_size)
             if resident is not None:
                 resident.dirty = False
+                if keep:
+                    vm.page_cleaned(resident)
 
     # -- eviction ----------------------------------------------------------------
 

@@ -56,7 +56,8 @@ class WritebackDaemon:
                     selected, self.vm.page_size):
                 pages = run_size // self.vm.page_size
                 self.vm.probe.count("writeback.cleaned", pages)
-                engine.push(cache, run_offset, run_size, reason="writeback")
+                engine.push(cache, run_offset, run_size, reason="writeback",
+                            keep=True)
             for page in selected:
                 self._ages.pop(page, None)
             # Forget pages that disappeared (evicted / destroyed) or

@@ -67,6 +67,13 @@ class RealTimeVirtualMemory(PagedVirtualMemory):
         # Deferred copies introduce faults; a real-time kernel copies now.
         return CopyPolicy.EAGER
 
+    def page_cleaned(self, page) -> None:
+        # A store to a mapped page must not fault here, so the manager
+        # cannot see it: a page that stays mapped stays dirty, and its
+        # bytes are pushed again when it leaves memory.
+        if page.mappings:
+            page.dirty = True
+
     def reclaim_frames(self, target: int) -> int:
         # Page replacement is non-deterministic latency: never.  Memory
         # exhaustion surfaces as OutOfFrames at allocation time.

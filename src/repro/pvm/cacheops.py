@@ -256,12 +256,12 @@ class CacheOpsMixin:
                 if run_pages:
                     self.cache_engine.push(cache, run_start,
                                            run_pages * self.page_size,
-                                           reason="flush")
+                                           reason="flush", keep=keep)
                 run_start, run_pages = page.offset, 1 if page.dirty else 0
             if run_pages:
                 self.cache_engine.push(cache, run_start,
                                        run_pages * self.page_size,
-                                       reason="flush")
+                                       reason="flush", keep=keep)
             if not keep:
                 for page in resident:
                     if not page.pinned:

@@ -274,6 +274,25 @@ class HardwareLayer:
         """Remove every translation of *page* (eviction, move)."""
         return self._unmap_grouped(list(page.mappings))
 
+    def revoke_write(self, page: RealPageDescriptor) -> None:
+        """Clear WRITE, and only WRITE, from every translation of
+        *page* (a page cleaned in place).
+
+        Free on the virtual clock: it stands in for clearing a
+        hardware modified bit, which the paper's cost model does not
+        price.  The store that re-dirties the page pays its protection
+        fault as usual.
+        """
+        mmu = self.mmu
+        by_space: Dict[int, List[Tuple[int, Prot]]] = {}
+        for space, vaddr in page.mappings:
+            mapping = mmu.peek(space, mmu.vpn(vaddr))
+            if mapping is not None and mapping.prot & Prot.WRITE:
+                by_space.setdefault(space, []).append(
+                    (vaddr, mapping.prot & ~Prot.WRITE))
+        for space, items in by_space.items():
+            mmu.protect_batch(space, items)
+
     def downgrade_page(self, page: RealPageDescriptor, prot: Prot = Prot.READ) -> None:
         """Set every translation of *page* to *prot* (typically
         read-only, when the page becomes a deferred-copy source).

@@ -48,6 +48,16 @@ class PageoutMixin:
         self._detach_stubs_to_segment(page)
         self._drop_page(page, save=False)
 
+    def page_cleaned(self, page: RealPageDescriptor) -> None:
+        """A page was pushed out and stays resident: the engine's hook.
+
+        There is no hardware modified bit, so a store is seen only when
+        it faults: take write access away from the page's translations
+        and let the next store re-dirty it through a protection fault.
+        """
+        if page.mappings:
+            self.hw.revoke_write(page)
+
     def _drop_page(self, page: RealPageDescriptor,
                    save: bool = False) -> None:
         """Remove a page from the cache, the global map and RAM."""
