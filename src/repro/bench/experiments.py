@@ -178,10 +178,10 @@ def trace_replay_ablation(system: str = "chorus",
     bulk through :class:`~repro.hardware.vbus.VectorBus` on each
     available engine (``vectorized_numpy`` only when the ``fast``
     extra is installed).  Wall time is measured with the metrics
-    registry paused and the garbage collector off, and each row carries the virtual
-    time and fault count so the equality the parity property proves
-    is visible right in the table: the vectorized rows may only be
-    *faster*, never different.
+    registry paused and the garbage collector off, and each row
+    carries the virtual time and fault count so the equality the
+    parity property proves is visible right in the table: the
+    vectorized rows may only be *faster*, never different.
     """
     import gc
     import time

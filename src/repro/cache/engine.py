@@ -24,8 +24,8 @@ shootdown and stub re-targeting stay behind the backend's
 ``discard_page`` hook, and write revocation on a page cleaned in place
 behind ``page_cleaned``.  The ``vm`` collaborator is duck-typed — any
 object with ``clock`` / ``probe`` / ``page_size`` / ``lock`` /
-``discard_page`` / ``page_cleaned`` works, which is what keeps this package importable
-without the backends (layer rule 4).
+``discard_page`` / ``page_cleaned`` works, which is what keeps this
+package importable without the backends (layer rule 4).
 """
 
 from __future__ import annotations

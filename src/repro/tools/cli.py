@@ -308,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True,
                                        metavar="command")
-    for name in ("tables", "loc", "figure3", "info", "layers"):
+    for name in ("tables", "loc", "figure3", "info", "layers", "verify"):
         subparsers.add_parser(name)
     obs = subparsers.add_parser(
         "obs-dump",
@@ -335,9 +335,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     top.add_argument("--interval", type=float, default=0.0,
                      metavar="SECONDS",
                      help="wall-clock pause between frames (default: 0)")
-    subparsers.add_parser(
-        "verify",
-        help="run the layer, obs-schema and cell-golden gates in one shot")
     args = parser.parse_args(argv)
     return COMMANDS[args.command](args)
 

@@ -496,9 +496,7 @@ WORKLOADS: Dict[str, Workload] = {
 }
 
 
-
-
-# -- the virtual-time golden ---------------------------------------------------
+# -- the virtual-time golden --------------------------------------------------
 
 #: Cluster settings every cell is gated at: read-ahead replays the
 #: charges a one-page pull would make, so it must not move a cell.

@@ -34,7 +34,7 @@ import pytest
 
 from repro.kernel.clock import CostEvent
 from repro.workloads.cells import (
-    BACKENDS, CLUSTERS, WORKLOADS, cell_ids, golden_diff, measure,
+    BACKENDS, WORKLOADS, cell_ids, golden_diff, measure,
 )
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parents[1]
@@ -95,12 +95,6 @@ def test_registry_covers_all_backends():
         covered.update(workload.backends)
         assert set(workload.backends) <= set(BACKENDS)
     assert covered == set(BACKENDS)
-    assert CLUSTERS == ("off", "adaptive")
-
-
-def test_measure_is_deterministic():
-    assert measure("zero_fill", "pvm", "off") == \
-        measure("zero_fill", "pvm", "off")
 
 
 def test_measure_rejects_unsupported_backend():
