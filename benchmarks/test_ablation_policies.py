@@ -10,13 +10,19 @@ import pytest
 
 from repro.bench import costmodel
 from repro.bench.tables import format_series
+from repro.cache.eviction import FifoPolicy, LruPolicy, SecondChancePolicy
 from repro.gmi.upcalls import ZeroFillProvider
 from repro.kernel.clock import ClockRegion
 from repro.nucleus.nucleus import Nucleus
-from repro.pvm.policies import POLICIES
 from repro.units import KB
 
 PAGE = 8 * KB
+
+#: The three policies once each, by name (EVICTION_POLICIES also holds
+#: the "clock" alias of second-chance, which would run one sweep twice).
+POLICIES = {policy.name: policy
+            for policy in (FifoPolicy, SecondChancePolicy, LruPolicy)}
+
 RAM_PAGES = 24
 
 

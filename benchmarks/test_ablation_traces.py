@@ -9,13 +9,19 @@ import pytest
 
 from repro.bench import costmodel
 from repro.bench.tables import format_series
-from repro.pvm.policies import POLICIES
+from repro.cache.eviction import FifoPolicy, LruPolicy, SecondChancePolicy
 from repro.units import KB
 from repro.workloads.traces import (
     loop_trace, phase_trace, replay, uniform_trace, zipf_trace,
 )
 
 PAGE = 8 * KB
+
+#: The three policies once each, by name (EVICTION_POLICIES also holds
+#: the "clock" alias of second-chance, which would run one sweep twice).
+POLICIES = {policy.name: policy
+            for policy in (FifoPolicy, SecondChancePolicy, LruPolicy)}
+
 RAM_PAGES = 20
 TRACE_PAGES = 48
 LENGTH = 600

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.hardware.mmu import Prot
 
@@ -89,13 +88,3 @@ class CacheStatistics:
     write_faults: int = 0
     copy_faults: int = 0           # COW resolutions charged to this cache
     stub_waits: int = 0            # sleeps on synchronization page stubs
-
-
-@dataclass
-class FaultOutcome:
-    """What the memory manager did to resolve one page fault."""
-
-    kind: str                      # "zero_fill" | "pull_in" | "cow" | "map" | ...
-    cache: Optional[object] = None
-    offset: int = 0
-    details: dict = field(default_factory=dict)

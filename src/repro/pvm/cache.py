@@ -72,6 +72,10 @@ class PvmCache(Cache):
         #: a resident page of ours or detached to (cache, offset)); kept
         #: so cache destruction can materialize them first.
         self.incoming_stubs: Set = set()
+        #: per-virtual-page stubs sitting in this cache's own slots (it
+        #: is their copy destination); kept so cache destruction can
+        #: drop them without scanning the global map.
+        self.own_stubs: Set = set()
         #: source deleted while copies remain (section 4.2.2): kept as an
         #: anonymous node until the last child goes away.
         self.dead = False

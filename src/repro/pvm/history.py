@@ -542,6 +542,12 @@ class HistoryMixin:
                     if candidate.cache is parent:
                         page = candidate
                 if page is None:
+                    entry = self.global_map.lookup(parent, parent_offset)
+                    if isinstance(entry, CowStub):
+                        # A per-page copy the parent received: its
+                        # content goes with the merge, so materialize it.
+                        page = self._resolve_cow_stub_write(entry)
+                if page is None:
                     continue
                 self.hw.shootdown(page)
                 parent.owned.discard(parent_offset)

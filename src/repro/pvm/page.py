@@ -79,6 +79,7 @@ class CowStub:
         self.src_page = src_page
         self.src_cache = src_cache
         self.src_offset = src_offset
+        cache.own_stubs.add(self)
         if src_page is not None:
             src_page.cow_stubs.add(self)
             src_page.cache.incoming_stubs.add(self)
@@ -105,7 +106,9 @@ class CowStub:
         page.cow_stubs.discard(self)
 
     def unthread(self) -> None:
-        """Fully detach this stub from its source (resolution/drop)."""
+        """Fully detach this stub from its source and its destination
+        (resolution/drop)."""
+        self.cache.own_stubs.discard(self)
         if self.src_page is not None:
             self.src_page.cow_stubs.discard(self)
             self.src_page.cache.incoming_stubs.discard(self)

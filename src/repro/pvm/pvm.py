@@ -461,6 +461,11 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
             self._resolve_cow_stub_write(stub)
         for page in list(cache.pages.values()):
             self._drop_page(page, save=False)
+        # Our own stubs go too, before a reaped source could
+        # materialize them into this dead cache.
+        for stub in list(cache.own_stubs):
+            stub.unthread()
+            self.global_map.discard(cache, stub.offset)
 
         parents = {fragment.payload.cache for fragment in cache.parents}
         cache.parents.clear()

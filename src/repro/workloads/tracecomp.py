@@ -22,9 +22,32 @@ gate, including the ``REPRO_NO_NUMPY`` override).
 
 The columnar *generators* (``zipf_columns`` et al.) produce exactly
 the access sequence of their scalar twins in
-:mod:`repro.workloads.traces` for the same seed — they draw from the
-same ``random.Random`` stream in the same order, only skipping the
-intermediate tuple list.
+:mod:`repro.workloads.traces` for the same seed.  They consume the
+same MT19937 word stream in the same order; only the way the words
+are turned into columns differs:
+
+* ``uniform_columns`` and ``phase_columns`` (both engines) inline
+  CPython's ``randrange(n)``: ``k = n.bit_length()``, then
+  ``getrandbits(k)`` until the result is below *n*.  Each
+  ``getrandbits(k)`` with ``k <= 32`` takes one 32-bit word, which is
+  what ``randrange`` takes, so the stream stays in step.  Values are
+  appended straight into the ``array``/``bytearray`` columns through
+  hoisted bound methods, with no per-access tuple or per-phase list.
+  The rejection loop makes the word count per access variable, so
+  these stay a Python loop.
+* ``zipf_columns`` and ``loop_columns`` take a fixed number of words
+  per access (zipf: two ``random()`` calls, four words; loop: one
+  call, two words).  On the numpy engine they seed a
+  ``numpy.random.MT19937`` from ``Random.getstate()`` (the 624 key
+  words and the position), whose ``random_raw()`` words equal
+  ``getrandbits(32)``, and decode ``random()`` in bulk as CPython
+  does: ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``, which is exact
+  in float64.  The zipf page is ``searchsorted(cdf, r, "left")``,
+  the same first-index-at-or-above rule as ``bisect_left``, over the
+  CDF built by the scalar twin's own Python loop so the floats match.
+  Draws go in chunks of at most 65,536 accesses into preallocated
+  columns, so temporaries stay small.  The stdlib engine of these two
+  keeps the plain ``random()`` loop.
 
 ``save_trace`` / ``load_trace`` implement the compact on-disk
 ``.vmtrace`` format: a 16-byte versioned header followed by the raw
@@ -128,26 +151,43 @@ def compile_trace(trace: Iterable[Access],
 # Columnar generators (seed-compatible with repro.workloads.traces)
 # ---------------------------------------------------------------------------
 
+#: Accesses per bulk draw on the numpy engine: bounds the temporaries
+#: (four 8-byte words per zipf access, so 2 MB of raw words).
+_CHUNK = 1 << 16
+
+
+def _draw_below(rng: random.Random, bound: int):
+    """``(getrandbits, k)`` for drawing ``randrange(bound)`` inline:
+    ``r = getrandbits(k)`` until ``r < bound``.  A bound below 1 raises
+    exactly what ``randrange`` raises."""
+    if bound < 1:
+        rng.randrange(bound)
+    return rng.getrandbits, bound.bit_length()
+
+
 def uniform_columns(pages: int, length: int, write_ratio: float = 0.3,
                     seed: int = 1,
                     use_numpy: Optional[bool] = None) -> CompiledTrace:
     """Columnar twin of :func:`~repro.workloads.traces.uniform_trace`."""
     rng = random.Random(seed)
-    randrange, rand = rng.randrange, rng.random
+    rand = rng.random
     page_col = array("q")
     write_col = bytearray()
-    for _ in range(length):
-        page_col.append(randrange(pages))
-        write_col.append(1 if rand() < write_ratio else 0)
+    if length > 0:
+        getrandbits, bits = _draw_below(rng, pages)
+        append_page, append_write = page_col.append, write_col.append
+        for _ in range(length):
+            page = getrandbits(bits)
+            while page >= pages:
+                page = getrandbits(bits)
+            append_page(page)
+            append_write(rand() < write_ratio)
     return _wrap(page_col, write_col, None, use_numpy)
 
 
-def zipf_columns(pages: int, length: int, skew: float = 1.2,
-                 write_ratio: float = 0.3, seed: int = 1,
-                 use_numpy: Optional[bool] = None) -> CompiledTrace:
-    """Columnar twin of :func:`~repro.workloads.traces.zipf_trace`."""
-    rng = random.Random(seed)
-    rand = rng.random
+def _zipf_cumulative(pages: int, skew: float) -> List[float]:
+    """The zipf CDF, summed in the scalar twin's order so every float
+    (and so every ``bisect_left`` result) matches it."""
     weights = [1.0 / ((rank + 1) ** skew) for rank in range(pages)]
     total = sum(weights)
     cumulative = []
@@ -155,9 +195,53 @@ def zipf_columns(pages: int, length: int, skew: float = 1.2,
     for weight in weights:
         running += weight / total
         cumulative.append(running)
+    return cumulative
+
+
+def _mt19937(np, rng: random.Random):
+    """A numpy bit generator continuing *rng*'s MT19937 stream: its
+    ``random_raw()`` words are ``rng.getrandbits(32)``, word for word."""
+    _, internal, _ = rng.getstate()
+    bitgen = np.random.MT19937()
+    bitgen.state = {"bit_generator": "MT19937",
+                    "state": {"key": np.array(internal[:-1],
+                                              dtype=np.uint32),
+                              "pos": internal[-1]}}
+    return bitgen
+
+
+def _doubles(np, bitgen, count: int):
+    """The next *count* ``rng.random()`` values, decoded from two words
+    each exactly as CPython does."""
+    words = bitgen.random_raw(2 * count)
+    high = words[0::2] >> 5
+    low = words[1::2] >> 6
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
+
+
+def zipf_columns(pages: int, length: int, skew: float = 1.2,
+                 write_ratio: float = 0.3, seed: int = 1,
+                 use_numpy: Optional[bool] = None) -> CompiledTrace:
+    """Columnar twin of :func:`~repro.workloads.traces.zipf_trace`."""
+    rng = random.Random(seed)
+    cumulative = _zipf_cumulative(pages, skew)
+    last = pages - 1
+    np = get_numpy(use_numpy)
+    if np is not None:
+        bitgen = _mt19937(np, rng)
+        cdf = np.array(cumulative, dtype=np.float64)
+        page_col = np.empty(max(length, 0), dtype=np.int64)
+        write_col = np.empty(max(length, 0), dtype=np.uint8)
+        for start in range(0, length, _CHUNK):
+            end = min(start + _CHUNK, length)
+            draws = _doubles(np, bitgen, 2 * (end - start))
+            np.minimum(np.searchsorted(cdf, draws[0::2], side="left"),
+                       last, out=page_col[start:end])
+            np.less(draws[1::2], write_ratio, out=write_col[start:end])
+        return CompiledTrace(page_col, write_col, backend="numpy")
+    rand = rng.random
     page_col = array("q")
     write_col = bytearray()
-    last = pages - 1
     for _ in range(length):
         page_col.append(min(bisect_left(cumulative, rand()), last))
         write_col.append(1 if rand() < write_ratio else 0)
@@ -169,6 +253,17 @@ def loop_columns(pages: int, length: int, write_ratio: float = 0.0,
                  use_numpy: Optional[bool] = None) -> CompiledTrace:
     """Columnar twin of :func:`~repro.workloads.traces.loop_trace`."""
     rng = random.Random(seed)
+    np = get_numpy(use_numpy)
+    if np is not None and pages > 0:
+        bitgen = _mt19937(np, rng)
+        page_col = np.arange(max(length, 0), dtype=np.int64)
+        page_col %= pages
+        write_col = np.empty(max(length, 0), dtype=np.uint8)
+        for start in range(0, length, _CHUNK):
+            end = min(start + _CHUNK, length)
+            np.less(_doubles(np, bitgen, end - start), write_ratio,
+                    out=write_col[start:end])
+        return CompiledTrace(page_col, write_col, backend="numpy")
     rand = rng.random
     page_col = array("q")
     write_col = bytearray()
@@ -184,16 +279,22 @@ def phase_columns(pages: int, length: int, phases: int = 4,
                   use_numpy: Optional[bool] = None) -> CompiledTrace:
     """Columnar twin of :func:`~repro.workloads.traces.phase_trace`."""
     rng = random.Random(seed)
-    randrange, rand = rng.randrange, rng.random
+    rand = rng.random
     page_col = array("q")
     write_col = bytearray()
+    append_page, append_write = page_col.append, write_col.append
     per_phase = max(1, length // phases)
     last = pages - 1
     for _ in range(phases):
-        base = randrange(max(1, pages - locality))
+        base = rng.randrange(max(1, pages - locality))
+        getrandbits, bits = _draw_below(rng, locality)
         for _ in range(per_phase):
-            page_col.append(min(base + randrange(locality), last))
-            write_col.append(1 if rand() < write_ratio else 0)
+            offset = getrandbits(bits)
+            while offset >= locality:
+                offset = getrandbits(bits)
+            page = base + offset
+            append_page(page if page < last else last)
+            append_write(rand() < write_ratio)
     del page_col[length:]
     del write_col[length:]
     return _wrap(page_col, write_col, None, use_numpy)

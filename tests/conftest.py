@@ -1,6 +1,9 @@
-"""Shared fixtures: a fresh PVM rig per test."""
+"""Shared fixtures: a fresh PVM rig per test, and the hypothesis
+profiles (``--hypothesis-profile=ci`` runs ten times the default
+examples)."""
 
 import pytest
+from hypothesis import settings
 
 from repro.gmi.upcalls import ZeroFillProvider
 from repro.gmi.types import Protection
@@ -8,6 +11,8 @@ from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB
 
 PAGE = 8 * KB
+
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture

@@ -198,6 +198,13 @@ class CowMachine(RuleBasedStateMachine):
             if hasattr(entry, "frame"):
                 assert entry.cache.pages.get(offset) is entry
 
+    @invariant()
+    def global_map_entries_belong_to_live_caches(self):
+        if not hasattr(self, "vm"):
+            return
+        for key, entry in self.vm.global_map:
+            assert not entry.cache.destroyed, (key, entry)
+
 
 class MachCowMachine(CowMachine):
     """The same semantics must hold for shadow objects."""
@@ -213,8 +220,17 @@ class RealTimeCowMachine(CowMachine):
     ram_frames = NUM_CACHES * SEGMENT_PAGES + 4
 
 
-_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
-_QUICK = settings(max_examples=25, stateful_step_count=30, deadline=None)
+def _scaled(examples, steps):
+    """Explicit settings override a loaded profile, so scale the
+    example count with it: the default profile (100 examples) keeps
+    *examples*, ``--hypothesis-profile=ci`` multiplies it by ten."""
+    scale = settings.default.max_examples / 100
+    return settings(max_examples=max(1, round(examples * scale)),
+                    stateful_step_count=steps, deadline=None)
+
+
+_SETTINGS = _scaled(60, 40)
+_QUICK = _scaled(25, 30)
 
 TestCowModel = CowMachine.TestCase
 TestCowModel.settings = _SETTINGS

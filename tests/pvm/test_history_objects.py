@@ -258,6 +258,21 @@ class TestCollapseGC:
         assert dst.read(0, 4) == b"mine"
         assert dst.read(PAGE, 1) == bytes([2])
 
+    def test_collapse_keeps_a_dead_parents_per_page_copy(self, pvm, make):
+        """The dead parent holds a copy only as a per-page stub: the
+        merge must carry that content down, not drop it."""
+        origin = make("origin", fill=7, pages=1)
+        middle = make("middle")
+        origin.copy(0, middle, 0, PAGE, policy=CopyPolicy.PER_PAGE)
+        dst = make("dst")
+        middle.copy(0, dst, 0, PAGE, policy=CopyPolicy.HISTORY)
+        middle.destroy()
+        assert pvm.collapse_history(dst) == 1
+        assert middle.destroyed
+        assert dst.read(0, 4) == bytes([7]) * 4
+        origin.write(0, b"later")
+        assert dst.read(0, 4) == bytes([7]) * 4
+
     def test_collapse_skips_live_parent(self, pvm, make):
         src = make("src", fill=1)
         dst = make("dst")

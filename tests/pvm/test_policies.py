@@ -2,15 +2,20 @@
 
 import pytest
 
+from repro.cache.eviction import (
+    EVICTION_POLICIES, FifoPolicy, LruPolicy, SecondChancePolicy,
+)
 from repro.gmi.types import Protection
 from repro.gmi.upcalls import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
-from repro.pvm.policies import (
-    FifoPolicy, LruPolicy, POLICIES, SecondChancePolicy,
-)
 from repro.units import KB
 
 PAGE = 8 * KB
+
+#: The three policies once each, by name (EVICTION_POLICIES also holds
+#: the "clock" alias of second-chance, which would run one sweep twice).
+POLICIES = {policy.name: policy
+            for policy in (FifoPolicy, SecondChancePolicy, LruPolicy)}
 
 
 class FakePage:
@@ -102,6 +107,8 @@ class TestLru:
 class TestPolicyRegistry:
     def test_all_policies_listed(self):
         assert set(POLICIES) == {"fifo", "second-chance", "lru"}
+        assert {policy.name for policy in EVICTION_POLICIES.values()} \
+            == set(POLICIES)
 
 
 class TestPvmIntegration:

@@ -7,6 +7,7 @@ numpy and the stdlib fallback read the same bytes.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import InvalidOperation
 from repro.fastpath import numpy_available
@@ -68,6 +69,62 @@ class TestCompile:
         fast = tracecomp.zipf_columns(64, 300, seed=3, use_numpy=True)
         slow = tracecomp.zipf_columns(64, 300, seed=3, use_numpy=False)
         assert fast.to_accesses() == slow.to_accesses()
+
+
+#: Chunk size of the numpy engine's bulk draws (tracecomp._CHUNK).
+CHUNK = 1 << 16
+
+
+class TestTwinProperty:
+    """Every columnar generator equals its scalar twin, on any engine,
+    across the shapes where drawing straight from the stream could
+    drift: rejection-heavy localities, degenerate windows, ragged
+    phases and chunk boundaries."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([twin[0] for twin in TWINS]),
+           pages=st.integers(min_value=1, max_value=600),
+           length=st.integers(min_value=0, max_value=2500),
+           locality=st.one_of(
+               st.sampled_from([1, 2, 4, 8, 64, 128, 256, 512, 1024]),
+               st.integers(min_value=1, max_value=700)),
+           phases=st.integers(min_value=1, max_value=9),
+           skew=st.sampled_from([0.7, 1.2, 2.0]),
+           write_ratio=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           use_numpy=st.sampled_from(
+               [None, False, True] if numpy_available() else [None, False]))
+    # a power-of-two locality rejects half its draws
+    @example(kind="phase", pages=512, length=5000, locality=64, phases=8,
+             skew=1.2, write_ratio=0.3, seed=3, use_numpy=False)
+    @example(kind="phase", pages=40, length=777, locality=1, phases=5,
+             skew=1.2, write_ratio=0.5, seed=4, use_numpy=None)
+    @example(kind="phase", pages=40, length=777, locality=40, phases=4,
+             skew=1.2, write_ratio=0.5, seed=5, use_numpy=None)
+    @example(kind="phase", pages=40, length=1001, locality=300, phases=7,
+             skew=1.2, write_ratio=0.5, seed=6, use_numpy=None)
+    @example(kind="zipf", pages=300, length=CHUNK + 1, locality=8,
+             phases=4, skew=1.2, write_ratio=0.3, seed=7, use_numpy=True)
+    @example(kind="zipf", pages=300, length=2 * CHUNK + 3, locality=8,
+             phases=4, skew=0.7, write_ratio=0.3, seed=8, use_numpy=True)
+    @example(kind="loop", pages=300, length=CHUNK, locality=8, phases=4,
+             skew=1.2, write_ratio=0.4, seed=9, use_numpy=True)
+    @example(kind="loop", pages=300, length=2 * CHUNK + 1, locality=8,
+             phases=4, skew=1.2, write_ratio=0.4, seed=10, use_numpy=True)
+    def test_columns_equal_scalar_twin(self, kind, pages, length, locality,
+                                       phases, skew, write_ratio, seed,
+                                       use_numpy):
+        if use_numpy and not numpy_available():
+            return
+        _, scalar_gen, column_gen, _ = next(
+            twin for twin in TWINS if twin[0] == kind)
+        kwargs = {"write_ratio": write_ratio, "seed": seed}
+        if kind == "phase":
+            kwargs.update(phases=phases, locality=locality)
+        elif kind == "zipf":
+            kwargs["skew"] = skew
+        columns = column_gen(pages, length, use_numpy=use_numpy, **kwargs)
+        assert columns.to_accesses() == scalar_gen(pages, length, **kwargs)
 
 
 class TestVmtraceFormat:
