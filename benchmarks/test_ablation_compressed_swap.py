@@ -13,7 +13,7 @@ import pytest
 from repro.bench import costmodel
 from repro.bench.tables import format_series
 from repro.gmi.types import AccessMode
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.kernel.clock import ClockRegion
 from repro.segments.compressed import CompressedSwapProvider
 from repro.segments.disk import SimulatedDisk

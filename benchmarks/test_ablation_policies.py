@@ -11,7 +11,7 @@ import pytest
 from repro.bench import costmodel
 from repro.bench.tables import format_series
 from repro.cache.eviction import FifoPolicy, LruPolicy, SecondChancePolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import ClockRegion
 from repro.nucleus.nucleus import Nucleus
 from repro.units import KB

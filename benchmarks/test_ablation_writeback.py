@@ -9,7 +9,7 @@ import pytest
 
 from repro.bench import costmodel
 from repro.bench.tables import format_series
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import ClockRegion, CostEvent
 from repro.cache.writeback import WritebackDaemon
 from repro.units import KB

@@ -47,7 +47,8 @@ def main():
     provider = EncryptingProvider(key=b"correct horse battery staple")
     cache = vm.cache_create(provider)
     ctx = vm.context_create()
-    ctx.region_create(0x100000, 20 * PAGE, Protection.RW, cache, 0)
+    ctx.region_create(0x100000, 20 * PAGE, protection=Protection.RW,
+                      cache=cache)
 
     secrets = {}
     for index in range(20):

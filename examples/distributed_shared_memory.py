@@ -19,7 +19,7 @@ Run:  python examples/distributed_shared_memory.py
 """
 
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.nucleus import Nucleus
 from repro.units import KB, MB
 
@@ -101,7 +101,7 @@ def main():
                                         name=f"{name}.shared")
         actor = nucleus.create_actor(name)
         actor.context.region_create(0x100000, SEGMENT_PAGES * PAGE,
-                                    Protection.RW, cache, 0)
+                                    protection=Protection.RW, cache=cache)
         manager.attach(name, cache)
         sites[name] = (nucleus, actor, cache)
 

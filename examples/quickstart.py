@@ -11,7 +11,7 @@ Run:  python examples/quickstart.py
 
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB
 
@@ -26,8 +26,8 @@ def main():
     # --- contexts and regions (Table 2) -------------------------------------
     context = pvm.context_create("demo")
     data = pvm.cache_create(ZeroFillProvider(), name="data-segment")
-    region = context.region_create(0x100000, 64 * KB, Protection.RW,
-                                   data, 0)
+    region = context.region_create(0x100000, 64 * KB,
+                                   protection=Protection.RW, cache=data)
     print(f"mapped {region.size // KB} KB at {region.address:#x}")
 
     # Touch two pages: demand-allocation of zero-filled memory.

@@ -16,7 +16,7 @@ See README.md for a tour and DESIGN.md for the system inventory.
 
 from repro.gmi.interface import Cache, Context, CopyPolicy, MemoryManager, Region
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider, ZeroFillProvider
+from repro.cache.provider import SegmentProvider, ZeroFillProvider
 from repro.kernel.clock import CostEvent, CostModel, VirtualClock
 from repro.mach.eager import EagerVirtualMemory
 from repro.mach.mach_vm import MachVirtualMemory

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Set
 
 from repro.errors import InvalidOperation
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 
 
 class PageState(enum.Enum):

@@ -17,7 +17,7 @@ from repro.dsm.protocol import CoherenceManager
 from repro.dsm.site import DsmSite
 from repro.errors import InvalidOperation
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.ipc.message import Message
 from repro.net.network import Network
 from repro.nucleus.nucleus import Nucleus

@@ -20,10 +20,6 @@ trace span when a sink is attached.
 """
 
 from repro.engine.admission import AdmissionGate
-from repro.engine.cluster import (
-    AdaptiveWindow, ClusterIndex, ClusterPolicy, FixedWindow, NoCluster,
-    PrefaultEntry, make_policy, split_uniform,
-)
 from repro.engine.inflight import InFlightEntry, InFlightTable
 from repro.engine.io import IoScheduler
 from repro.engine.pipeline import (
@@ -32,21 +28,13 @@ from repro.engine.pipeline import (
 from repro.engine.task import FaultTask
 
 __all__ = [
-    "AdaptiveWindow",
     "AdmissionGate",
-    "ClusterIndex",
-    "ClusterPolicy",
     "FAULT_STAGES",
-    "FixedWindow",
     "InFlightEntry",
     "InFlightTable",
     "IoScheduler",
-    "NoCluster",
-    "PrefaultEntry",
     "RESOLUTION_STAGES",
     "FaultPipeline",
     "FaultTask",
     "VmBackend",
-    "make_policy",
-    "split_uniform",
 ]

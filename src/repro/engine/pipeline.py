@@ -99,11 +99,6 @@ class FaultPipeline:
              getattr(backend, "stage_" + name))
             for name in FAULT_STAGES
         )
-        #: The precomputed stage series keys in execution order —
-        #: fast paths that bypass the staged loop (the clustered-fault
-        #: adopt path) replay these so stage counters stay identical.
-        self.stage_series = tuple(series for _, _, series, _
-                                  in self._stages)
 
     def run(self, task: FaultTask,
             stages: Sequence[str] = FAULT_STAGES) -> FaultTask:

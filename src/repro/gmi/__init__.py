@@ -25,7 +25,7 @@ from repro.gmi.interface import (
     MemoryManager,
     Region,
 )
-from repro.gmi.upcalls import SegmentProvider, ZeroFillProvider
+from repro.cache.provider import SegmentProvider, ZeroFillProvider
 
 __all__ = [
     "AccessMode",

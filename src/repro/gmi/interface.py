@@ -22,7 +22,7 @@ import enum
 from typing import List, Optional, Sequence
 
 from repro.gmi.types import AccessMode, CacheStatistics, Protection, RegionStatus
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.hardware.mmu import FaultRecord
 
 
@@ -61,8 +61,7 @@ class Cache:
         The operation may cause faults (pull-ins) and block.
 
         The option arguments are keyword-only (canonical signature,
-        docs/API.md); implementations accept the old positional order
-        for one release behind a :class:`DeprecationWarning`.
+        docs/API.md).
         """
         raise NotImplementedError
 
@@ -143,15 +142,6 @@ class Cache:
         not O(pages)."""
         raise NotImplementedError
 
-    def resident_offsets(self) -> Sequence[int]:
-        """Page-aligned offsets currently resident, sorted.
-
-        .. deprecated:: PR-6
-           Use :meth:`resident_extents`; a per-page offset list costs
-           O(pages) however contiguous the residency is.
-        """
-        raise NotImplementedError
-
 
 class Region:
     """A contiguous portion of a context's virtual address space,
@@ -198,9 +188,7 @@ class Context:
         The option arguments are keyword-only (canonical signature,
         docs/API.md): *protection* and *cache* are required, *offset*
         defaults to the segment start, and *advice* is an optional
-        residency hint ("willneed" | "sequential" | "random").
-        Implementations accept the old positional order for one
-        release behind a :class:`DeprecationWarning`.
+        residency hint (``"willneed"`` pulls the window in at once).
         """
         raise NotImplementedError
 
@@ -211,14 +199,6 @@ class Context:
     def regions_overlapping(self, address: int, size: int) -> List[Region]:
         """Regions overlapping [address, address+size), sorted by
         start address — the canonical range query (docs/API.md)."""
-        raise NotImplementedError
-
-    def find_region(self, address: int) -> Optional[Region]:
-        """Region containing *address*, or None.
-
-        .. deprecated:: PR-6
-           Use :meth:`regions_overlapping`\\ ``(address, 1)``.
-        """
         raise NotImplementedError
 
     def switch(self) -> None:

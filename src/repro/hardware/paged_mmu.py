@@ -12,10 +12,10 @@ into second-level tables, and ``walk_level1`` / ``walk_level2`` /
 ``table_alloc`` / ``table_free`` are charged exactly as the
 dictionary-of-tables implementation charged them.  Those stats depend
 only on the *set* of mapped pages, never on the order or grouping of
-the operations that produced it — the clustering-parity proofs
-(tests/property/test_cluster_parity.py) compare full counter snapshots
-between batched and per-page runs, so an order-dependent stat (e.g.
-counting run splices) would diverge.  The per-directory occupancy
+the operations that produced it — the parity suites
+(tests/property/test_extent_models.py, test_vbus_parity.py) compare
+counters between batched and per-page runs, so an order-dependent
+stat (e.g. counting run splices) would diverge.  The per-directory occupancy
 counters cost O(pages / TABLE_SIZE), not O(pages).
 
 The walk depth is recorded per translation so the MMU-port ablation

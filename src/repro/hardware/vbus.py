@@ -17,8 +17,8 @@ The contract is **observational equivalence** with the scalar loop::
 Every observable is bit-identical afterwards:
 
 * the fault sequence — each blocking access executes through the
-  unchanged ``MemoryBus``, so every fault, cluster adoption, in-flight
-  join and arbiter decision fires exactly as under scalar replay, and
+  unchanged ``MemoryBus``, so every fault, in-flight join and arbiter
+  decision fires exactly as under scalar replay, and
   the virtual clock (charged only by the fault engine) advances by the
   same unit-at-a-time accumulation;
 * TLB state and statistics — hit runs retire through

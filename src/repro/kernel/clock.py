@@ -126,10 +126,9 @@ class VirtualClock:
     ``vm.metrics_snapshot()`` one coherent document.
 
     Listeners registered with :meth:`add_listener` observe every charge
-    as ``(time_before_charge_ms, event, count)``; this single hook
-    serves both the :class:`repro.tools.trace.EventTrace` shim and the
-    probe's per-span event attribution.  With no listeners the charge
-    path pays only an empty-tuple truth test.
+    as ``(time_before_charge_ms, event, count)``; the probe's per-span
+    event attribution is built on this hook.  With no listeners the
+    charge path pays only an empty-tuple truth test.
     """
 
     def __init__(self, model: Optional[CostModel] = None,
@@ -139,7 +138,6 @@ class VirtualClock:
         self.registry = registry or MetricsRegistry()
         self.counter = EventCounter(registry=self.registry)
         self._listeners = ()
-        self._capture: Optional[list] = None
 
     # -- time ---------------------------------------------------------------
 
@@ -150,9 +148,6 @@ class VirtualClock:
     def charge(self, event: CostEvent, count: int = 1) -> float:
         """Record *count* occurrences of *event*; return the cost added."""
         if count <= 0:
-            return 0.0
-        if self._capture is not None:
-            self._capture.append((event, count))
             return 0.0
         start = self._now_ms
         counter = self.counter
@@ -180,13 +175,13 @@ class VirtualClock:
         per-page loop use this so the Table 6/7 goldens stay
         bit-identical.  The per-unit accumulation still runs, but with
         no dict lookups or listener checks per unit; when the event is
-        unpriced only the counter moves.  With listeners or a capture
-        active it falls back to literal unit charges so observers see
-        the same stream they always did.
+        unpriced only the counter moves.  With listeners attached it
+        falls back to literal unit charges so observers see the same
+        stream they always did.
         """
         if count <= 0:
             return 0.0
-        if self._capture is not None or self._listeners:
+        if self._listeners:
             total = 0.0
             for _ in range(count):
                 total += self.charge(event)
@@ -200,22 +195,6 @@ class VirtualClock:
                 now += price
             self._now_ms = now
         return self._now_ms - start
-
-    def capture(self) -> "CaptureRegion":
-        """Divert charges into a list instead of applying them.
-
-        While the returned context manager is active, :meth:`charge`
-        appends ``(event, count)`` to ``region.charges`` — no time
-        advances, no counter moves, no listener fires.  A caller can
-        later replay (or discard) the recorded charges; the fault-
-        clustering prefetcher uses this to speculate without touching
-        the golden virtual-time accounting.  :meth:`advance` during a
-        capture marks the region ``tainted`` (the advanced time is
-        still diverted, recorded as an ``(None, ms)`` entry) because an
-        opaque latency cannot be re-attributed per page.  Captures do
-        not nest.
-        """
-        return CaptureRegion(self)
 
     # -- charge listeners ----------------------------------------------------
 
@@ -236,9 +215,6 @@ class VirtualClock:
         """Advance virtual time directly (e.g. simulated disk latency)."""
         if milliseconds < 0:
             raise ValueError("cannot move virtual time backwards")
-        if self._capture is not None:
-            self._capture.append((None, milliseconds))
-            return
         self._now_ms += milliseconds
 
     # -- bookkeeping ----------------------------------------------------------
@@ -258,33 +234,6 @@ class VirtualClock:
 
     def __repr__(self) -> str:
         return f"VirtualClock(t={self._now_ms:.3f}ms, model={self.model.name})"
-
-
-class CaptureRegion:
-    """Context manager diverting clock charges into ``self.charges``.
-
-    ``charges`` holds ``(CostEvent, count)`` tuples in charge order;
-    an ``advance`` made while capturing shows up as ``(None, ms)``.
-    ``tainted`` is True when any advance was diverted — a capture that
-    cannot be replayed as discrete events.
-    """
-
-    def __init__(self, clock: VirtualClock):
-        self.clock = clock
-        self.charges: list = []
-
-    @property
-    def tainted(self) -> bool:
-        return any(event is None for event, _ in self.charges)
-
-    def __enter__(self) -> "CaptureRegion":
-        if self.clock._capture is not None:
-            raise RuntimeError("clock captures do not nest")
-        self.clock._capture = self.charges
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.clock._capture = None
 
 
 class ClockRegion:

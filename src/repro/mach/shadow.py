@@ -72,10 +72,14 @@ class ShadowMixin:
 
         # The original inherits the source's backing chain for the range.
         for removed in src.parents.remove_range(src_offset, size):
+            parent = removed.payload.cache
             original.parents.insert(removed.offset, removed.size,
                                     removed.payload)
-            removed.payload.cache.children.add(original)
-            removed.payload.cache.children.discard(src)
+            parent.children.add(original)
+            # Outside the copied range src may still reach this parent.
+            if not any(fragment.payload.cache is parent
+                       for fragment in src.parents):
+                parent.children.discard(src)
 
         src.parents.insert(src_offset, size, Link(original, src_offset))
         mode = "cor" if on_reference else "cow"

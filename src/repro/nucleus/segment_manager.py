@@ -26,7 +26,7 @@ from typing import Dict, Optional
 
 from repro.errors import CapabilityError, InvalidOperation
 from repro.gmi.types import AccessMode
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.segments.capability import Capability
 from repro.units import IPC_MESSAGE_LIMIT
 

@@ -22,9 +22,9 @@ Determinism contract — the reason this module is shaped the way it is:
   ``now()``.  Table 6/7 goldens and bench virtual times are therefore
   bit-identical with the board active (the +0.000 vdrift acceptance
   gate);
-* ledger **counters** record only events that are identical whatever
-  the cluster policy (faults, pulls, pushes, evictions), so the
-  cluster-parity suite keeps comparing them;
+* ledger **counters** record only mechanism events (faults, pulls,
+  pushes, evictions), which are identical however the access path is
+  configured, so the parity suites can compare them exactly;
 * stall **durations** depend on scheduling, so they are published as
   *gauges* at snapshot time, never as counters.
 

@@ -47,15 +47,13 @@ SNAPSHOT_SCHEMA = {
             "type": "object",
             # The staged fault engine's per-stage counters (one per
             # executed pipeline stage: locate, authorize, resolve,
-            # materialize, install), the fault-clustering counters
-            # (faults_saved / window / wasted_prefault), the in-flight
-            # fault table (begin / coalesced) and the pressure board's
+            # materialize, install), the in-flight fault table
+            # (begin / coalesced) and the pressure board's
             # per-space ledgers (``space.*{space=N}`` plus rollups) —
             # plus their labeled series.  ``vbus.*`` counts the
             # vectorized access path's batches and fast/fallback split.
             "patternProperties": {
                 r"^engine\.stage\.": {"type": "integer", "minimum": 0},
-                r"^engine\.cluster\.": {"type": "integer", "minimum": 0},
                 r"^engine\.inflight\.": {"type": "integer", "minimum": 0},
                 r"^space\.": {"type": "integer", "minimum": 0},
                 r"^balancer\.": {"type": "integer", "minimum": 0},

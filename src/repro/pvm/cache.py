@@ -11,9 +11,8 @@ together they form the history tree of section 4.2.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.errors import StaleObject
 from repro.gmi.interface import Cache, CopyPolicy
@@ -114,15 +113,8 @@ class PvmCache(Cache):
     # -- Table 1 -----------------------------------------------------------------
 
     def copy(self, src_offset: int, dst: "PvmCache", dst_offset: int,
-             size: int, *args, policy: CopyPolicy = CopyPolicy.AUTO,
+             size: int, *, policy: CopyPolicy = CopyPolicy.AUTO,
              on_reference: bool = False) -> None:
-        if args:
-            warnings.warn(
-                "positional policy/on_reference arguments to cache.copy "
-                "are deprecated; pass them as keywords (see docs/API.md)",
-                DeprecationWarning, stacklevel=2)
-            policy = args[0] if len(args) > 0 else policy
-            on_reference = args[1] if len(args) > 1 else on_reference
         self._check_live()
         dst._check_live()
         self.pvm.cache_copy(self, src_offset, dst, dst_offset, size,
@@ -202,19 +194,6 @@ class PvmCache(Cache):
         runs, straight off the shared residency index's run-length set
         — O(extents) regardless of how many pages are resident."""
         return self.pvm.residency.resident_extents(self.cache_id)
-
-    def resident_offsets(self) -> Sequence[int]:
-        """Per-page resident offsets, sorted.
-
-        .. deprecated:: PR-6
-           Use :meth:`resident_extents`; the per-page list costs
-           O(pages) however contiguous the residency is.
-        """
-        warnings.warn(
-            "Cache.resident_offsets is deprecated; use "
-            "Cache.resident_extents() (see docs/API.md)",
-            DeprecationWarning, stacklevel=2)
-        return sorted(self.pages)
 
     def resident_page(self, offset: int) -> Optional[RealPageDescriptor]:
         """The resident page at *offset*, if any."""

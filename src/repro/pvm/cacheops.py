@@ -142,14 +142,6 @@ class CacheOpsMixin:
 
     def _fill_one(self, cache: PvmCache, offset: int, data: bytes,
                   zero: bool) -> None:
-        if self._cluster_fill is not None \
-                and self._cluster_redirect_fill(cache, offset, data, zero):
-            # A prefault window is being filled: the frame is parked in
-            # the cluster index, invisible until its fault adopts it.
-            return
-        if self._cluster_index:
-            # A spontaneous fill supersedes any parked prefault here.
-            self._cluster_cancel_range(cache, offset, self.page_size)
         entry = self.global_map.lookup(cache, offset)
         if isinstance(entry, RealPageDescriptor):
             # Spontaneous refresh of an already-cached page.
@@ -206,10 +198,6 @@ class CacheOpsMixin:
         With *surrender* (moveBack) the cached copy is given up.
         """
         with self.lock:
-            if surrender:
-                # The cached copy is being given up: parked prefaults
-                # of the range would otherwise outlive the handover.
-                self._cluster_cancel_range(cache, offset, size)
             # Frame *views*, not copies: freeing a frame only moves it
             # between allocation sets, so the bytes stay intact until
             # the single materializing join below — one copy per page
@@ -275,7 +263,6 @@ class CacheOpsMixin:
         they reference copy-time content that would otherwise vanish.
         """
         with self.lock:
-            self._cluster_cancel_range(cache, offset, size)
             for page_offset in page_range(offset, size, self.page_size):
                 page = cache.pages.get(page_offset)
                 if page is None or page.pinned:
@@ -395,9 +382,6 @@ class CacheOpsMixin:
             pullable = (
                 batched
                 and self.global_map.lookup(cache, page_offset) is None
-                # A parked prefault is not pullable — the per-page
-                # path below adopts it instead of re-pulling.
-                and self._cluster_index.lookup(cache, page_offset) is None
                 and (page_offset in cache.owned
                      or cache.parents.find(page_offset) is None)
             )

@@ -11,7 +11,6 @@ dispatch.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import StaleObject
@@ -63,36 +62,17 @@ class PvmContext(Context):
 
     def _region_at(self, address: int) -> Optional["PvmRegion"]:
         """Region containing *address*, or None (internal point query
-        — no staleness check, no deprecation)."""
+        — no staleness check)."""
         return self._map.get(address)
 
     # -- Table 2 -----------------------------------------------------------------------
 
-    def region_create(self, address: int, size: int, *args,
-                      protection: Optional[Protection] = None,
-                      cache: Optional["PvmCache"] = None, offset: int = 0,
+    def region_create(self, address: int, size: int, *,
+                      protection: Protection, cache: "PvmCache",
+                      offset: int = 0,
                       advice: Optional[str] = None) -> "PvmRegion":
-        """Map *cache* at [address, address+size) — canonical form.
-
-        The option arguments (protection, cache, offset, advice) are
-        keyword-only; the old positional order still works for one
-        release but emits a :class:`DeprecationWarning`.
-        """
-        if args:
-            warnings.warn(
-                "positional protection/cache/offset arguments to "
-                "region_create are deprecated; pass them as keywords "
-                "(see docs/API.md)",
-                DeprecationWarning, stacklevel=2)
-            if len(args) > 0:
-                protection = args[0]
-            if len(args) > 1:
-                cache = args[1]
-            if len(args) > 2:
-                offset = args[2]
-        if protection is None or cache is None:
-            raise TypeError(
-                "region_create() requires protection= and cache= arguments")
+        """Map *cache* at [address, address+size); the option arguments
+        are keyword-only (docs/API.md)."""
         self._check_live()
         return self.pvm.region_create(self, address, size, protection,
                                       cache, offset, advice=advice)
@@ -108,20 +88,6 @@ class PvmContext(Context):
         self._check_live()
         return [region for _, _, region
                 in self._map.overlapping(address, address + size)]
-
-    def find_region(self, address: int) -> Optional["PvmRegion"]:
-        """Region containing *address*, or None.
-
-        .. deprecated:: PR-6
-           Use :meth:`regions_overlapping`\\ ``(address, 1)`` (or the
-           region list) instead; see docs/API.md.
-        """
-        warnings.warn(
-            "Context.find_region is deprecated; use "
-            "Context.regions_overlapping(address, 1) (see docs/API.md)",
-            DeprecationWarning, stacklevel=2)
-        self._check_live()
-        return self._region_at(address)
 
     def allocate_address(self, size: int, start_hint: int = 0) -> int:
         """First page-aligned gap of *size* bytes at or after *start_hint*.

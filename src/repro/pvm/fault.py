@@ -78,9 +78,6 @@ class FaultMixin:
                     self.engine.run(task)
                     pressure.fault(fault.space, fault.write)
                     span.set(cache=task.cache.name, offset=task.offset)
-                    if self._cluster_on:
-                        self._cluster_after_fault(task.region, task.cache,
-                                                  task.offset, task.write)
                 finally:
                     pressure.end_task()
             return
@@ -92,11 +89,6 @@ class FaultMixin:
             try:
                 if self.admission is not None:
                     self.admission.admit(fault.space)
-                if self._cluster_on and self._cluster_fast_fault(fault):
-                    # The page was parked by the prefetcher: adopted and
-                    # installed with the pipeline's exact accounting.
-                    pressure.fault(fault.space, fault.write)
-                    return
                 task = FaultTask(
                     space=fault.space,
                     address=fault.address,
@@ -107,9 +99,6 @@ class FaultMixin:
                 )
                 self.engine.run(task)
                 pressure.fault(fault.space, fault.write)
-                if self._cluster_on:
-                    self._cluster_after_fault(task.region, task.cache,
-                                              task.offset, task.write)
             finally:
                 pressure.end_task()
 

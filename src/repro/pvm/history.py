@@ -224,7 +224,6 @@ class HistoryMixin:
         the pre-image it is owed, and (b) per-page stubs hanging off
         those pages are materialized.
         """
-        self._cluster_cancel_range(dst, dst_offset, size)
         for offset in page_range(dst_offset, size, self.page_size):
             # Translations serving this (dst, offset) — including read
             # mappings of ancestor/stub-source frames — go stale with
@@ -308,9 +307,7 @@ class HistoryMixin:
                 hops += 1
                 self.clock.charge(self.LOOKUP_EVENT)
                 continue
-            if self._cluster_adopt(current, current_offset,
-                                   AccessMode.READ) is None:
-                self._pull_in(current, current_offset, AccessMode.READ)
+            self._pull_in(current, current_offset, AccessMode.READ)
 
     def _get_writable_page(self, cache: PvmCache, offset: int
                            ) -> RealPageDescriptor:
@@ -348,9 +345,7 @@ class HistoryMixin:
                     self._ensure_history_version(cache, offset)
                 page.dirty = True
                 return page
-            if self._cluster_adopt(cache, offset,
-                                   AccessMode.WRITE) is None:
-                self._pull_in(cache, offset, AccessMode.WRITE)
+            self._pull_in(cache, offset, AccessMode.WRITE)
 
     def _materialize_private(self, cache: PvmCache, offset: int
                              ) -> RealPageDescriptor:
@@ -471,7 +466,6 @@ class HistoryMixin:
     def _discard_range(self, src: PvmCache, offset: int, size: int) -> None:
         """Make source contents undefined after a move (guards are
         honoured first: the history object keeps the original)."""
-        self._cluster_cancel_range(src, offset, size)
         for page_offset in page_range(offset, size, self.page_size):
             self.hw.shootdown_served(src, page_offset)
             for stub in list(src.incoming_stubs):

@@ -10,7 +10,6 @@ in use, never on the size of segments or address spaces.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Dict, Optional
 
@@ -23,13 +22,12 @@ from repro.pressure import FrameArbiter
 from repro.errors import InvalidOperation, StaleObject
 from repro.gmi.interface import MemoryManager
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import SegmentProvider, ZeroFillProvider
+from repro.cache.provider import SegmentProvider, ZeroFillProvider
 from repro.kernel.clock import CostEvent, VirtualClock
 from repro.kernel.sync import HostSync, NullSync
 from repro.obs import PressureBoard, Probe, extent_overlap_pages
 from repro.pvm.cache import PvmCache
 from repro.pvm.cacheops import CacheOpsMixin
-from repro.pvm.cluster import ClusterMixin
 from repro.pvm.context import PvmContext
 from repro.pvm.fault import FaultMixin
 from repro.pvm.global_map import GlobalMap
@@ -45,8 +43,7 @@ from repro.units import DEFAULT_PAGE_SIZE, DEFAULT_PHYSICAL_MEMORY, KB
 
 
 class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
-                         ClusterMixin, FaultMixin, PageoutMixin,
-                         MemoryManager):
+                         FaultMixin, PageoutMixin, MemoryManager):
     """The PVM (section 4): demand paging, history objects, per-page COW.
 
     Parameters
@@ -90,7 +87,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
                  reclaim_batch: int = 8,
                  replacement_policy=None,
                  probe: Optional[Probe] = None,
-                 cluster_policy=None,
                  arbiter: Optional[FrameArbiter] = None):
         self.memory = memory or build_physical_memory(memory_size, page_size)
         self.clock = clock or VirtualClock()
@@ -126,9 +122,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
         self.inflight = InFlightTable(self.sync_factory, self.lock,
                                       page_size=self.memory.page_size,
                                       probe=self.probe)
-        #: fault clustering (read-ahead prefaulting); "off" by default
-        #: — pass "fixed[:N]" / "adaptive" / a ClusterPolicy to enable.
-        self._cluster_init(cluster_policy)
         self.global_map = GlobalMap(self.memory.page_size)
         self.default_provider = default_provider or ZeroFillProvider()
         self.per_page_threshold = per_page_threshold
@@ -292,10 +285,9 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
 
         *advice* is an optional residency hint: ``"willneed"`` pulls the
         window's pages resident immediately (the paging equivalent of
-        madvise); ``"sequential"`` / ``"random"`` are recorded on the
-        region for replacement policies to consult.
+        madvise) through the ranged pullIn upcall.
         """
-        if advice not in (None, "willneed", "sequential", "random"):
+        if advice not in (None, "willneed"):
             raise InvalidOperation(f"unknown region advice {advice!r}")
         with self.lock:
             page = self.page_size
@@ -319,7 +311,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
             self.clock.charge(CostEvent.REGION_CREATE)
             region = PvmRegion(context, address, size, protection, cache,
                                offset)
-            region.advice = advice
             context._insert_region(region)
             if advice == "willneed":
                 self._prefetch_range(cache, offset, size)
@@ -354,7 +345,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
             )
             upper.touched = region.touched
             upper.locked = region.locked
-            upper.advice = region.advice
             region.size = offset
             region.context._resize_region(region)
             region.context._insert_region(upper)
@@ -415,17 +405,9 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
     # Caches (Table 1)
     # ------------------------------------------------------------------
 
-    def cache_create(self, provider: SegmentProvider, *args, segment=None,
+    def cache_create(self, provider: SegmentProvider, *, segment=None,
                      name: Optional[str] = None,
                      is_history: bool = False) -> PvmCache:
-        if args:
-            warnings.warn(
-                "positional arguments to cache_create beyond the provider "
-                "are deprecated; pass segment=/name=/is_history= as keywords",
-                DeprecationWarning, stacklevel=2)
-            segment = args[0] if len(args) > 0 else segment
-            name = args[1] if len(args) > 1 else name
-            is_history = args[2] if len(args) > 2 else is_history
         with self.lock:
             self.clock.charge(CostEvent.CACHE_CREATE)
             cache = PvmCache(self, self._next_cache_id, provider,
@@ -454,7 +436,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
 
     def _release_cache(self, cache: PvmCache) -> None:
         """Final destruction: free pages, unlink from the tree."""
-        self._cluster_cancel_cache(cache)
         # Per-page stubs that reference this cache's data must get
         # their private copies before the data goes away.
         for stub in list(cache.incoming_stubs):

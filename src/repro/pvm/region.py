@@ -8,7 +8,7 @@ refer to the same cache descriptor.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.errors import InvalidOperation, StaleObject
 from repro.gmi.interface import Region
@@ -36,8 +36,6 @@ class PvmRegion(Region):
         #: set once the first fault lands in the region (Mach's profile
         #: prices the first touch: memory-object initialisation).
         self.touched = False
-        #: optional residency hint ("willneed" | "sequential" | "random").
-        self.advice: Optional[str] = None
 
     # -- helpers -----------------------------------------------------------------
 

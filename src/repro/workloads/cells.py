@@ -8,7 +8,7 @@ pre-populates data; ``body`` is the measured mechanism, so ``obs-dump
 --workload`` can attach a span sink between the two and trace exactly
 that part.
 
-A *cell* is one (workload, backend, cluster) triple.  :func:`measure`
+A *cell* is one (workload, backend) pair.  :func:`measure`
 runs one and returns the body's virtual time and its plain fault and
 upcall counts; ``tests/goldens/cell_virtual_time.json`` holds the
 expected values of every cell, compared with ``==`` by the tier-1
@@ -30,7 +30,7 @@ from repro.minimal.minimal_vm import RealTimeVirtualMemory
 from repro.units import KB
 
 __all__ = [
-    "BACKENDS", "CLUSTERS", "GOLDEN_COUNTERS", "WORKLOADS", "Workload",
+    "BACKENDS", "GOLDEN_COUNTERS", "WORKLOADS", "Workload",
     "cell_ids", "golden_diff", "measure",
 ]
 
@@ -54,8 +54,7 @@ SRC_BASE = 0x0200_0000
 class Workload:
     """One named scenario: unmeasured *setup*, measured *body*.
 
-    ``setup(backend, cluster)`` returns a state dict that
-    must carry ``clock`` (the virtual clock the body charges) and
+    ``setup(backend)`` returns a state dict that must carry ``clock`` (the virtual clock the body charges) and
     ``vm`` (the manager whose counters :func:`measure` reads);
     ``body(state)`` runs the measured mechanism.
     """
@@ -69,17 +68,16 @@ class Workload:
 
 # -- workload definitions -------------------------------------------------------
 
-def _nucleus_state(backend: str, cluster=None, arbiter=None,
-                   **extra) -> dict:
+def _nucleus_state(backend: str, arbiter=None, **extra) -> dict:
     nucleus = FACTORIES[backend](tlb_entries=SUN360_TLB_ENTRIES,
-                                 cluster_policy=cluster, arbiter=arbiter)
+                                 arbiter=arbiter)
     state = {"nucleus": nucleus, "vm": nucleus.vm, "clock": nucleus.clock}
     state.update(extra)
     return state
 
 
-def _zero_fill_setup(backend: str, cluster=None) -> dict:
-    state = _nucleus_state(backend, cluster)
+def _zero_fill_setup(backend: str) -> dict:
+    state = _nucleus_state(backend)
     state["actor"] = state["nucleus"].create_actor("bench")
     return state
 
@@ -94,8 +92,8 @@ def _zero_fill_body(state: dict) -> None:
     nucleus.rgn_free(actor, region)
 
 
-def _seq_stream_setup(backend: str, cluster=None) -> dict:
-    state = _nucleus_state(backend, cluster)
+def _seq_stream_setup(backend: str) -> dict:
+    state = _nucleus_state(backend)
     nucleus = state["nucleus"]
     state["actor"] = nucleus.create_actor("bench")
     state["region"] = nucleus.rgn_allocate(state["actor"], 512 * KB,
@@ -105,9 +103,9 @@ def _seq_stream_setup(backend: str, cluster=None) -> dict:
 
 def _seq_stream_body(state: dict) -> None:
     # Stream sequentially through a 64-page anonymous region, 4 pages
-    # per read, twice: pass one is a pure fault train (read-ahead
-    # clusters it), pass two re-reads warm translations (multi-page
-    # reads exercise the batched translation path and the TLB).
+    # per read, twice: pass one is a pure fault train, pass two
+    # re-reads warm translations (multi-page reads exercise the batched
+    # translation path and the TLB).
     actor = state["actor"]
     page_size = state["vm"].page_size
     span = 4 * page_size
@@ -116,16 +114,9 @@ def _seq_stream_body(state: dict) -> None:
             actor.read(REGION_BASE + position, span)
 
 
-def _random_touch_setup(backend: str, cluster=None) -> dict:
-    state = _seq_stream_setup(backend, cluster)
-    state["region"].advice = "random"
-    return state
-
-
 def _random_touch_body(state: dict) -> None:
     # Touch the same 64 pages in a deterministic non-sequential order,
-    # three passes: read-ahead must stay shut (the region advises
-    # random access), so this cell is the clustering control group.
+    # three passes: the strided counterpart of seq_stream.
     actor = state["actor"]
     page_size = state["vm"].page_size
     pages = 512 * KB // page_size
@@ -136,10 +127,10 @@ def _random_touch_body(state: dict) -> None:
                         b"\x01")
 
 
-def _cow_setup(backend: str, cluster=None) -> dict:
+def _cow_setup(backend: str) -> dict:
     # "The source region is created and allocated before starting the
     # measurement" — a 256 KB source, fully written.
-    state = _nucleus_state(backend, cluster)
+    state = _nucleus_state(backend)
     nucleus = state["nucleus"]
     actor = nucleus.create_actor("bench")
     page_size = nucleus.vm.page_size
@@ -176,8 +167,8 @@ def _cow_chain_body(state: dict) -> None:
     fork_exit_chain(state["nucleus"], generations=6, collapse=True)
 
 
-def _pageout_setup(backend: str, cluster=None) -> dict:
-    state = _nucleus_state(backend, cluster)
+def _pageout_setup(backend: str) -> dict:
+    state = _nucleus_state(backend)
     nucleus = state["nucleus"]
     vm = nucleus.vm
     cache = nucleus.segment_manager.create_temporary("pageout-data")
@@ -193,10 +184,9 @@ def _pageout_body(state: dict) -> None:
     state["vm"].reclaim_frames(32)
 
 
-def _dsm_setup(backend: str, cluster=None) -> dict:
+def _dsm_setup(backend: str) -> dict:
     # DSM sites build their own nuclei; coherence traffic is strictly
-    # page-at-a-time and in-process (no mapper I/O), so clustering
-    # does not apply here.
+    # page-at-a-time and in-process (no mapper I/O).
     from repro.dsm.site import make_dsm_cluster
 
     manager, sites = make_dsm_cluster(["a", "b"], segment_pages=4,
@@ -216,10 +206,10 @@ def _dsm_body(state: dict) -> None:
         site_a.read(0, 1)
 
 
-def _segment_scan_setup(backend: str, cluster=None) -> dict:
+def _segment_scan_setup(backend: str) -> dict:
     from repro.segments.mem_mapper import MemoryMapper
 
-    state = _nucleus_state(backend, cluster)
+    state = _nucleus_state(backend)
     nucleus = state["nucleus"]
     page_size = nucleus.vm.page_size
     mapper = MemoryMapper()
@@ -241,10 +231,10 @@ def _segment_scan_body(state: dict) -> None:
         cache.read(index * page_size, 8 * page_size)
 
 
-def _writeback_storm_setup(backend: str, cluster=None) -> dict:
+def _writeback_storm_setup(backend: str) -> dict:
     from repro.cache.writeback import WritebackDaemon
 
-    state = _nucleus_state(backend, cluster)
+    state = _nucleus_state(backend)
     nucleus = state["nucleus"]
     vm = nucleus.vm
     cache = nucleus.segment_manager.create_temporary("storm-data")
@@ -278,8 +268,8 @@ HUGE_MAP_PAGES = 1_000_000
 HUGE_MAP_TOUCHES = 64
 
 
-def _huge_map_setup(backend: str, cluster=None) -> dict:
-    state = _nucleus_state(backend, cluster)
+def _huge_map_setup(backend: str) -> dict:
+    state = _nucleus_state(backend)
     state["actor"] = state["nucleus"].create_actor("bench")
     return state
 
@@ -316,8 +306,7 @@ STORM_BUDGET = 960
 STORM_FLOOR = 8
 
 
-def _tenant_storm_setup(backend: str, cluster=None,
-                        arbitrated: bool = True) -> dict:
+def _tenant_storm_setup(backend: str, arbitrated: bool = True) -> dict:
     from repro.pressure import (
         AdmissionController, BalancerDaemon, FrameArbiter,
         WorkingSetEstimator,
@@ -330,7 +319,7 @@ def _tenant_storm_setup(backend: str, cluster=None,
             ws=WorkingSetEstimator(),
             qos=AdmissionController(window_ms=10.0, fault_limit=64),
         )
-    state = _nucleus_state(backend, cluster, arbiter=arbiter)
+    state = _nucleus_state(backend, arbiter=arbiter)
     nucleus, vm = state["nucleus"], state["vm"]
     page_size = vm.page_size
     tenants = []
@@ -378,8 +367,7 @@ TRACE_REPLAY_ACCESSES = 1_000_000
 TRACE_REPLAY_PAGES = 512
 
 #: Compiled cell traces, by kind.  Compilation is pure input
-#: preparation (shared by every cluster setting), so it happens once
-#: per process, in setup.
+#: preparation, so it happens once per process, in setup.
 _TRACE_CACHE: Dict[str, object] = {}
 
 
@@ -403,10 +391,10 @@ def _compiled_trace(kind: str):
 
 
 def _trace_replay_setup(kind: str):
-    def setup(backend: str, cluster=None) -> dict:
+    def setup(backend: str) -> dict:
         from repro.hardware.vbus import VectorBus
 
-        state = _nucleus_state(backend, cluster)
+        state = _nucleus_state(backend)
         nucleus, vm = state["nucleus"], state["vm"]
         page_size = vm.page_size
         actor = nucleus.create_actor("bench")
@@ -441,9 +429,8 @@ WORKLOADS: Dict[str, Workload] = {
                  "region, 4 pages per read",
                  BACKENDS, _seq_stream_setup, _seq_stream_body),
         Workload("random_touch",
-                 "three strided passes over 64 pages, advice=random "
-                 "(read-ahead control group)",
-                 BACKENDS, _random_touch_setup, _random_touch_body),
+                 "three strided passes over 64 pages",
+                 BACKENDS, _seq_stream_setup, _random_touch_body),
         Workload("cow_copy",
                  "Table 7 cell: copy a 256 KB region, dirty 8 pages",
                  BACKENDS, _cow_setup, _cow_body),
@@ -498,10 +485,6 @@ WORKLOADS: Dict[str, Workload] = {
 
 # -- the virtual-time golden --------------------------------------------------
 
-#: Cluster settings every cell is gated at: read-ahead replays the
-#: charges a one-page pull would make, so it must not move a cell.
-CLUSTERS = ("off", "adaptive")
-
 #: The plain counters a cell records, as increments over the body.
 GOLDEN_COUNTERS = ("fault.read", "fault.write", "pull_in", "push_out")
 
@@ -509,21 +492,20 @@ Cell = Dict[str, float]
 
 
 def cell_ids() -> List[str]:
-    """Every ``workload/backend/cluster`` cell, in suite order."""
-    return [f"{name}/{backend}/{cluster}"
+    """Every ``workload/backend`` cell, in suite order."""
+    return [f"{name}/{backend}"
             for name, workload in WORKLOADS.items()
-            for backend in workload.backends
-            for cluster in CLUSTERS]
+            for backend in workload.backends]
 
 
-def measure(workload: str, backend: str, cluster: str) -> Cell:
+def measure(workload: str, backend: str) -> Cell:
     """Run one cell: the body's exact virtual ms, and how many read
     and write faults, pullIns and pushOuts the body caused."""
     spec = WORKLOADS[workload]
     if backend not in spec.backends:
         raise ValueError(
             f"workload {workload!r} does not run on {backend!r}")
-    state = spec.setup(backend, cluster)
+    state = spec.setup(backend)
     registry = state["vm"].probe.registry
     before = [registry.counter_value(name) for name in GOLDEN_COUNTERS]
     with ClockRegion(state["clock"]) as timer:

@@ -283,20 +283,18 @@ def phase_columns(pages: int, length: int, phases: int = 4,
     page_col = array("q")
     write_col = bytearray()
     append_page, append_write = page_col.append, write_col.append
-    per_phase = max(1, length // phases)
+    per_phase, longer = divmod(length, phases)
     last = pages - 1
-    for _ in range(phases):
+    for phase in range(phases):
         base = rng.randrange(max(1, pages - locality))
         getrandbits, bits = _draw_below(rng, locality)
-        for _ in range(per_phase):
+        for _ in range(per_phase + (phase < longer)):
             offset = getrandbits(bits)
             while offset >= locality:
                 offset = getrandbits(bits)
             page = base + offset
             append_page(page if page < last else last)
             append_write(rand() < write_ratio)
-    del page_col[length:]
-    del write_col[length:]
     return _wrap(page_col, write_col, None, use_numpy)
 
 

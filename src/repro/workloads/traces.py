@@ -70,17 +70,21 @@ def loop_trace(pages: int, length: int, write_ratio: float = 0.0,
 def phase_trace(pages: int, length: int, phases: int = 4,
                 locality: int = 8, write_ratio: float = 0.3,
                 seed: int = 1) -> List[Access]:
-    """Phase-change behaviour: a small hot window that jumps around."""
+    """Phase-change behaviour: a small hot window that jumps around.
+
+    Exactly *length* accesses: the first ``length % phases`` phases
+    take one access more than the others.
+    """
     rng = random.Random(seed)
     trace: List[Access] = []
-    per_phase = max(1, length // phases)
+    per_phase, longer = divmod(length, phases)
     for phase in range(phases):
         base = rng.randrange(max(1, pages - locality))
-        for _ in range(per_phase):
+        for _ in range(per_phase + (phase < longer)):
             page = base + rng.randrange(locality)
             trace.append((min(page, pages - 1),
                           rng.random() < write_ratio))
-    return trace[:length]
+    return trace
 
 
 # ---------------------------------------------------------------------------

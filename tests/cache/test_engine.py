@@ -4,7 +4,7 @@ drain path used by segment-cache retention drops."""
 import pytest
 
 from repro.cache import CacheEngine, ClockPolicy, FifoPolicy, LruPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.nucleus import Nucleus
 from repro.pvm import PagedVirtualMemory
 from repro.segments import MemoryMapper

@@ -7,7 +7,7 @@ from repro import (
     MachVirtualMemory, PagedVirtualMemory, RealTimeVirtualMemory,
 )
 from repro.cache import CacheEngine, ResidencyIndex
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.units import KB
 
 PAGE = 8 * KB

@@ -5,7 +5,7 @@ examples)."""
 import pytest
 from hypothesis import settings
 
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.gmi.types import Protection
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB

@@ -1,17 +1,14 @@
-"""The PR-6 API redesign surface: extents in, per-page lists out.
+"""The extent-shaped introspection surface: extents in, per-page
+lists out.
 
-``Cache.resident_extents`` / ``Context.regions_overlapping`` are the
-canonical forms; ``resident_offsets`` / ``find_region`` survive as thin
-shims that answer identically but emit a :class:`DeprecationWarning`
-(once per call site under the default filter, the PR-1 idiom).
+``Cache.resident_extents`` and ``Context.regions_overlapping`` answer
+residency and range queries in O(extents).
 """
-
-import warnings
 
 import pytest
 
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
 
@@ -54,12 +51,10 @@ class TestResidentExtents:
         cache.invalidate(PAGE, PAGE)
         assert cache.resident_extents() == [(0, PAGE), (2 * PAGE, PAGE)]
 
-    def test_agrees_with_deprecated_offsets(self, cache):
+    def test_agrees_with_resident_pages(self, cache):
         for offset in (0, PAGE, 5 * PAGE):
             cache.write(offset, b"x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            offsets = list(cache.resident_offsets())
+        offsets = sorted(cache.pages)
         from_extents = [start + index * PAGE
                         for start, length in cache.resident_extents()
                         for index in range(length // PAGE)]
@@ -82,40 +77,3 @@ class TestRegionsOverlapping:
         assert ctx.regions_overlapping(0x10000 - 1, 1) == []
         assert ctx.regions_overlapping(0x10000 + PAGE - 1, 1) == [region]
         assert ctx.regions_overlapping(0x10000 + PAGE, 1) == []
-
-
-class TestDeprecatedShims:
-    def test_find_region_warns_and_answers(self, ctx, cache):
-        region = ctx.region_create(0x10000, PAGE,
-                                   protection=Protection.RW, cache=cache)
-        with pytest.warns(DeprecationWarning, match="regions_overlapping"):
-            assert ctx.find_region(0x10000) is region
-        with pytest.warns(DeprecationWarning):
-            assert ctx.find_region(0x10000 + PAGE) is None
-
-    def test_resident_offsets_warns_and_answers(self, cache):
-        cache.write(0, b"x")
-        with pytest.warns(DeprecationWarning, match="resident_extents"):
-            assert cache.resident_offsets() == [0]
-
-    def test_canonical_forms_do_not_warn(self, ctx, cache):
-        ctx.region_create(0x10000, PAGE,
-                          protection=Protection.RW, cache=cache)
-        cache.write(0, b"x")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ctx.regions_overlapping(0x10000, PAGE)
-            ctx.get_region_list()
-            cache.resident_extents()
-
-    def test_warning_deduplicated_per_call_site(self, ctx, cache):
-        """The default filter reports a shim call site once, so legacy
-        loops don't flood the log."""
-        ctx.region_create(0x10000, PAGE,
-                          protection=Protection.RW, cache=cache)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()    # default filter, clean registry
-            for _ in range(5):
-                ctx.find_region(0x10000)
-        assert len([w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]) == 1

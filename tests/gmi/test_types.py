@@ -4,7 +4,7 @@ import pytest
 
 from repro.gmi.types import AccessMode, CacheStatistics, Protection, \
     RegionStatus
-from repro.gmi.upcalls import SegmentProvider, ZeroFillProvider
+from repro.cache.provider import SegmentProvider, ZeroFillProvider
 from repro.hardware.mmu import Prot
 
 

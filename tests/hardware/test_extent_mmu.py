@@ -7,7 +7,7 @@ and the O(1) counters (``_space_size``, ``table_count``, ``run_count``)
 must agree with a full scan at all times.  The directory-granular
 ``table_alloc`` / ``table_free`` statistics must depend only on the
 mapped set, never on the grouping of the calls that built it — the
-clustering-parity suite relies on exactly that.
+batched-versus-per-page parity suites rely on exactly that.
 """
 
 import pytest

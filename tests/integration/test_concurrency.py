@@ -12,7 +12,7 @@ import pytest
 
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.sync import ThreadedSync
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB

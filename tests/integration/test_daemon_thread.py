@@ -3,7 +3,7 @@ facilities composed (threads + the pageout machinery)."""
 
 import pytest
 
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import CostEvent
 from repro.nucleus import Nucleus
 from repro.nucleus.threads import Scheduler

@@ -11,7 +11,7 @@ global map and no allocated frame.
 import pytest
 
 from repro.gmi.interface import CopyPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.mach import EagerVirtualMemory, MachVirtualMemory
 from repro.minimal import RealTimeVirtualMemory
 from repro.pvm import PagedVirtualMemory
@@ -55,4 +55,19 @@ def test_destroying_a_copy_target_before_its_source(vm):
     c1.destroy()
     c2.write(0, b"a write no longer owes c1 a copy")
     c2.destroy()
+    _assert_nothing_left(vm)
+
+
+def test_destroying_caches_after_a_partial_shadow_sink(vm):
+    """A copy that sinks only part of the source's parent range must
+    not unlink the source from that parent: the source still reaches
+    it through its other fragments, and reaping the parent early let a
+    later pull land in a dead object that nothing frees."""
+    c0, c1, c2, c3, c4 = _caches(vm, 5)
+    c1.copy(0, c4, 4 * PAGE, 2 * PAGE, policy=CopyPolicy.HISTORY)
+    c4.copy(5 * PAGE, c0, 0, PAGE, policy=CopyPolicy.HISTORY)
+    c0.copy(0, c1, 0, 2 * PAGE, policy=CopyPolicy.HISTORY)
+    c4.copy(4 * PAGE, c0, 0, PAGE, policy=CopyPolicy.EAGER)
+    for cache in (c0, c1, c2, c3, c4):
+        cache.destroy()
     _assert_nothing_left(vm)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import MapperError, OutOfFrames
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.pvm import PagedVirtualMemory
 from repro.pvm.page import SyncStub
 from repro.units import KB, MB

@@ -9,7 +9,7 @@ import pytest
 
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.nucleus import Nucleus
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB
@@ -70,7 +70,7 @@ class TestCoreAtEveryPageSize:
 
     def test_ipc_transit_alignment_follows_page_size(self, page_size):
         nucleus = Nucleus(memory_size=2 * MB, page_size=page_size)
-        from repro.gmi.upcalls import ZeroFillProvider as ZFP
+        from repro.cache.provider import ZeroFillProvider as ZFP
         src = nucleus.vm.cache_create(ZFP())
         src.write(0, b"x" * page_size)
         nucleus.ipc.create_port("p")

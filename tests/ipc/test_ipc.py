@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import IpcError, ResourceExhausted
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.ipc import IpcSubsystem, Message
 from repro.kernel.clock import CostEvent
 from repro.pvm import PagedVirtualMemory

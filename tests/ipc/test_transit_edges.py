@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ResourceExhausted
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.ipc.transit import TransitSegment
 from repro.pvm import PagedVirtualMemory
 from repro.units import IPC_MESSAGE_LIMIT, KB, MB

@@ -119,11 +119,3 @@ class TestChargeEach:
         assert seen == [(0.0, CostEvent.PAGE_MAP, 1),
                         (1.0, CostEvent.PAGE_MAP, 1),
                         (2.0, CostEvent.PAGE_MAP, 1)]
-
-    def test_capture_records_unit_charges(self):
-        clock = VirtualClock(CostModel({CostEvent.PAGE_MAP: 1.0}))
-        with clock.capture() as region:
-            clock.charge_each(CostEvent.PAGE_MAP, 2)
-        assert region.charges == [(CostEvent.PAGE_MAP, 1),
-                                  (CostEvent.PAGE_MAP, 1)]
-        assert clock.now() == 0.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gmi.interface import CopyPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import CostEvent
 from repro.mach import MachVirtualMemory
 from repro.units import KB, MB

@@ -222,7 +222,7 @@ class TestPipes:
         assert pipe.bytes_read == len(payload)
 
     def test_cache_to_cache_pipe_transfer(self, rig):
-        from repro.gmi.upcalls import ZeroFillProvider
+        from repro.cache.provider import ZeroFillProvider
         nucleus, manager = rig
         vm = nucleus.vm
         src = vm.cache_create(ZeroFillProvider(), name="src")

@@ -93,7 +93,7 @@ class TestBlockingReceive:
         assert received == [b"\x00", b"\x01", b"\x02"]
 
     def test_receive_into_cache(self, nucleus, sched):
-        from repro.gmi.upcalls import ZeroFillProvider
+        from repro.cache.provider import ZeroFillProvider
         vm = nucleus.vm
         src = vm.cache_create(ZeroFillProvider(), name="src")
         src.write(0, b"threaded transit")

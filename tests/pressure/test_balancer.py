@@ -9,7 +9,7 @@ suspension through the admission gate, and teardown bookkeeping.
 import pytest
 
 from repro.engine import AdmissionGate
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.gmi.types import Protection
 from repro.pressure import (
     AdmissionController, BalancerDaemon, FrameArbiter, WorkingSetEstimator,

@@ -21,7 +21,7 @@ from hypothesis.stateful import (
 )
 
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pressure import (
     AdmissionController, BalancerDaemon, FrameArbiter, WorkingSetEstimator,
 )

@@ -20,7 +20,7 @@ from hypothesis.stateful import (
 )
 
 from repro.cache import ClockPolicy, FifoPolicy, LruPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
 

@@ -19,7 +19,7 @@ from hypothesis.stateful import (
 
 from repro.errors import InvalidOperation
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.hardware.paged_mmu import TABLE_BITS, PagedMMU
 from repro.hardware.mmu import Prot
 from repro.pvm import PagedVirtualMemory

@@ -26,7 +26,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import InvalidOperation
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.kernel.clock import CostEvent
 from repro.kernel.sync import ThreadedSync
 from repro.pvm import PagedVirtualMemory

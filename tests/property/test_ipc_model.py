@@ -9,7 +9,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import IpcError, ResourceExhausted
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.ipc import IpcSubsystem
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB

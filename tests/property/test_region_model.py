@@ -15,7 +15,7 @@ from hypothesis.stateful import (
 from repro.errors import AccessViolation, InvalidOperation, \
     SegmentationFault
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
 

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AccessViolation, InvalidOperation
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider, ZeroFillProvider
+from repro.cache.provider import SegmentProvider, ZeroFillProvider
 from repro.units import KB
 
 PAGE = 8 * KB

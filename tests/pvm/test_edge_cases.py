@@ -6,7 +6,7 @@ import pytest
 from repro.errors import AccessViolation, InvalidOperation
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.units import KB
 
 PAGE = 8 * KB

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AccessViolation, SegmentationFault
 from repro.gmi.types import AccessMode, Protection
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.kernel.clock import CostEvent
 from repro.units import KB
 

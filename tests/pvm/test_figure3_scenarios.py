@@ -8,7 +8,7 @@ objects) and the page *placement and values* the figure shows.
 import pytest
 
 from repro.gmi.interface import CopyPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.units import KB
 
 PAGE = 8 * KB

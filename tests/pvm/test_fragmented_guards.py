@@ -4,7 +4,7 @@ and the working-object union rule."""
 import pytest
 
 from repro.gmi.interface import CopyPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.units import KB
 
 PAGE = 8 * KB

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InvalidOperation
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.pvm.global_map import GlobalMap
 from repro.pvm.page import CowStub, RealPageDescriptor, SyncStub

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import OutOfFrames
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import CostEvent
 from repro.pvm.page import CowStub
 from repro.units import KB

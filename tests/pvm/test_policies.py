@@ -6,7 +6,7 @@ from repro.cache.eviction import (
     EVICTION_POLICIES, FifoPolicy, LruPolicy, SecondChancePolicy,
 )
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
 

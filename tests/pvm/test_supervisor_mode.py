@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AccessViolation
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.hardware.mmu import Prot
 from repro.units import KB
 

@@ -7,7 +7,7 @@ difficulty" — these tests hold the paper to it.
 import pytest
 
 from repro.gmi.interface import CopyPolicy
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.units import KB
 
 PAGE = 8 * KB

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import SegmentProvider
+from repro.cache.provider import SegmentProvider
 from repro.kernel.sync import ThreadedSync
 from repro.pvm import PagedVirtualMemory
 from repro.pvm.page import SyncStub

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import CostEvent
 from repro.pvm import PagedVirtualMemory
 from repro.cache.writeback import WritebackDaemon

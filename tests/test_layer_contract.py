@@ -127,7 +127,7 @@ class TestDetectsViolations:
         # after the cache extraction they must use repro.cache only.
         _make_tree(tmp_path, {
             "segments/cheat.py":
-                "from repro.gmi.upcalls import SegmentProvider\n",
+                "from repro.gmi import SegmentProvider\n",
         })
         assert len(check_layers(tmp_path)) == 1
 

@@ -2,13 +2,12 @@
 
 import io
 import json
-import warnings
 
 import pytest
 
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.obs import (
     CallbackSink, JsonlSink, MetricsRegistry, NOOP_SPAN, NULL_PROBE,
     Probe, RingBufferSink,
@@ -528,36 +527,22 @@ class TestWallStamps:
 # Deprecation shims
 # ---------------------------------------------------------------------------
 
-class TestDeprecatedPositionalArgs:
-    def test_region_create_positional_warns_and_works(self, vm):
-        cache = vm.cache_create(ZeroFillProvider(), name="d")
-        context = vm.context_create("d")
-        with pytest.warns(DeprecationWarning):
-            region = context.region_create(0x40000, PAGE,
-                                           Protection.RW, cache, 0)
-        assert region.protection is Protection.RW
-        assert region.cache is cache
-
-    def test_cache_copy_positional_warns_and_works(self, vm):
-        src = vm.cache_create(ZeroFillProvider(), name="s")
-        dst = vm.cache_create(ZeroFillProvider(), name="t")
-        src.write(0, b"abc")
-        with pytest.warns(DeprecationWarning):
-            src.copy(0, dst, 0, PAGE, CopyPolicy.EAGER)
-        assert dst.read(0, 3) == b"abc"
-
-    def test_keyword_form_stays_silent(self, vm):
-        cache = vm.cache_create(ZeroFillProvider(), name="q")
-        context = vm.context_create("q")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            context.region_create(0x40000, PAGE, protection=Protection.RW,
-                                  cache=cache, offset=0)
-
+class TestKeywordOnlyOptions:
     def test_region_create_requires_protection_and_cache(self, vm):
         context = vm.context_create("r")
         with pytest.raises(TypeError):
             context.region_create(0x40000, PAGE)
+
+    def test_positional_options_rejected(self, vm):
+        src = vm.cache_create(ZeroFillProvider(), name="s")
+        dst = vm.cache_create(ZeroFillProvider(), name="t")
+        context = vm.context_create("p")
+        with pytest.raises(TypeError):
+            context.region_create(0x40000, PAGE, Protection.RW, src, 0)
+        with pytest.raises(TypeError):
+            src.copy(0, dst, 0, PAGE, CopyPolicy.EAGER)
+        with pytest.raises(TypeError):
+            vm.cache_create(ZeroFillProvider(), None, "named")
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +593,9 @@ class TestRegionAdvice:
         from repro.errors import InvalidOperation
         cache = vm.cache_create(ZeroFillProvider(), name="bad")
         context = vm.context_create("bad")
-        with pytest.raises(InvalidOperation):
-            context.region_create(0x40000, PAGE, protection=Protection.RW,
-                                  cache=cache, offset=0, advice="psychic")
+        for advice in ("psychic", "sequential", "random"):
+            with pytest.raises(InvalidOperation):
+                context.region_create(0x40000, PAGE,
+                                      protection=Protection.RW,
+                                      cache=cache, offset=0, advice=advice)
+

@@ -17,7 +17,7 @@ Three contracts under test:
 import pytest
 
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.obs import (
     MetricsRegistry, PressureBoard, SpaceAccount, StallWindow,
     extent_overlap_pages,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.tools.rss import format_residency, residency_report
 from repro.units import KB, MB

@@ -1,14 +1,13 @@
-"""Introspection tools: tree rendering, state dumps, tracing, vmstat."""
+"""Introspection tools: tree rendering, state dumps, vmstat."""
 
 import pytest
 
 from repro.gmi.interface import CopyPolicy
 from repro.gmi.types import Protection
-from repro.gmi.upcalls import ZeroFillProvider
-from repro.kernel.clock import CostEvent
+from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.tools import (
-    EventTrace, VmStat, dump_vm_state, render_cache_tree, render_context,
+    VmStat, dump_vm_state, render_cache_tree, render_context,
 )
 from repro.units import KB, MB
 
@@ -94,45 +93,6 @@ class TestDumpVmState:
         dst = vm.cache_create(ZeroFillProvider(), name="d")
         src.copy(0, dst, 0, PAGE, policy=CopyPolicy.PER_PAGE)
         assert "1 cow" in dump_vm_state(vm)
-
-
-class TestEventTrace:
-    def test_records_in_order_with_timestamps(self, vm):
-        with EventTrace(vm.clock) as trace:
-            cache = vm.cache_create(ZeroFillProvider())
-            cache.write(0, b"x")
-        events = trace.events()
-        assert CostEvent.CACHE_CREATE in events
-        assert CostEvent.FRAME_ALLOC in events
-        assert events.index(CostEvent.CACHE_CREATE) < \
-            events.index(CostEvent.FRAME_ALLOC)
-
-    def test_filtering(self, vm):
-        with EventTrace(vm.clock, only={CostEvent.BZERO_PAGE}) as trace:
-            cache = vm.cache_create(ZeroFillProvider())
-            cache.write(0, b"x")
-        assert trace.events() == [CostEvent.BZERO_PAGE]
-
-    def test_detach_stops_recording(self, vm):
-        trace = EventTrace(vm.clock)
-        trace.detach()
-        vm.cache_create(ZeroFillProvider())
-        assert trace.records == []
-
-    def test_histogram_and_format(self, vm):
-        with EventTrace(vm.clock) as trace:
-            cache = vm.cache_create(ZeroFillProvider())
-            cache.write(0, b"x")
-            cache.write(PAGE, b"y")
-        histogram = trace.histogram()
-        assert histogram[CostEvent.FRAME_ALLOC] == 2
-        assert "frame_alloc" in trace.format()
-
-    def test_counting_still_works_while_traced(self, vm):
-        with EventTrace(vm.clock):
-            cache = vm.cache_create(ZeroFillProvider())
-            cache.write(0, b"x")
-        assert vm.clock.count(CostEvent.FRAME_ALLOC) == 1
 
 
 class TestVmStat:

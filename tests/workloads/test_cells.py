@@ -1,8 +1,8 @@
 """Golden-file lock on the virtual time of every bench cell.
 
-A cell is one ``workload/backend/cluster`` triple of
-:data:`repro.workloads.cells.WORKLOADS`, run at cluster ``off`` and
-``adaptive``.  ``tests/goldens/cell_virtual_time.json`` records, per
+A cell is one ``workload/backend`` pair of
+:data:`repro.workloads.cells.WORKLOADS`.
+``tests/goldens/cell_virtual_time.json`` records, per
 cell, the body's exact virtual ms and its ``fault.read``,
 ``fault.write``, ``pull_in`` and ``push_out`` increments; every cell
 must reproduce them **exactly** (``==`` on the floats, no tolerance),
@@ -50,29 +50,20 @@ def test_cell_matches_golden(cell):
 
 
 def test_golden_covers_every_cell():
-    """New workloads, backends or cluster settings need a
-    regeneration; the file must not silently go stale."""
+    """New workloads or backends need a regeneration; the file must
+    not silently go stale."""
     assert set(GOLDEN) == set(cell_ids())
-
-
-def test_clustering_is_invisible_in_every_cell():
-    """Read-ahead replays what a one-page pull would charge and count
-    (the arbiter's refault signal included), so the ``adaptive`` entry
-    of every cell must equal its ``off`` entry."""
-    moved = {cell for cell in GOLDEN if cell.endswith("/adaptive")
-             and GOLDEN[cell] != GOLDEN[cell[:-len("adaptive")] + "off"]}
-    assert moved == set()
 
 
 def test_diff_reports_only_the_cell_with_an_extra_charge(monkeypatch):
     """One injected ``PAGE_PROTECT`` in one cell is caught, and
     blamed on that cell alone."""
-    target = ("pageout", "pvm", "off")
+    target = ("pageout", "pvm")
     original = WORKLOADS["pageout"]
 
-    def setup(backend, cluster=None):
-        state = original.setup(backend, cluster)
-        state["inject"] = (backend, cluster) == target[1:]
+    def setup(backend):
+        state = original.setup(backend)
+        state["inject"] = backend == target[1]
         return state
 
     def body(state):
@@ -99,12 +90,12 @@ def test_registry_covers_all_backends():
 
 def test_measure_rejects_unsupported_backend():
     with pytest.raises(ValueError):
-        measure("dsm_ping_pong", "minimal", "off")
+        measure("dsm_ping_pong", "minimal")
 
 
 def test_labeled_series_roll_up_into_plain_counters():
     workload = WORKLOADS["zero_fill"]
-    state = workload.setup("pvm", "off")
+    state = workload.setup("pvm")
     workload.body(state)
     counters = state["vm"].metrics_snapshot()["counters"]
     assert counters["fault.write"] > 0

@@ -103,6 +103,15 @@ class TestTwinProperty:
              skew=1.2, write_ratio=0.5, seed=5, use_numpy=None)
     @example(kind="phase", pages=40, length=1001, locality=300, phases=7,
              skew=1.2, write_ratio=0.5, seed=6, use_numpy=None)
+    # ragged lengths: the first length % phases phases run one longer
+    @example(kind="phase", pages=64, length=10, locality=8, phases=4,
+             skew=1.2, write_ratio=0.3, seed=1, use_numpy=False)
+    @example(kind="phase", pages=64, length=10, locality=8, phases=4,
+             skew=1.2, write_ratio=0.3, seed=1, use_numpy=True)
+    @example(kind="phase", pages=64, length=1001, locality=8, phases=8,
+             skew=1.2, write_ratio=0.3, seed=1, use_numpy=False)
+    @example(kind="phase", pages=64, length=1001, locality=8, phases=8,
+             skew=1.2, write_ratio=0.3, seed=1, use_numpy=True)
     @example(kind="zipf", pages=300, length=CHUNK + 1, locality=8,
              phases=4, skew=1.2, write_ratio=0.3, seed=7, use_numpy=True)
     @example(kind="zipf", pages=300, length=2 * CHUNK + 3, locality=8,
@@ -124,7 +133,9 @@ class TestTwinProperty:
         elif kind == "zipf":
             kwargs["skew"] = skew
         columns = column_gen(pages, length, use_numpy=use_numpy, **kwargs)
-        assert columns.to_accesses() == scalar_gen(pages, length, **kwargs)
+        scalar = scalar_gen(pages, length, **kwargs)
+        assert len(columns) == len(scalar) == length
+        assert columns.to_accesses() == scalar
 
 
 class TestVmtraceFormat:
