@@ -31,7 +31,7 @@ profiles only price them — see DESIGN.md section 6.
 
 from __future__ import annotations
 
-from repro.kernel.clock import CostEvent, CostModel, VirtualClock
+from repro.kernel.clock import CostEvent, CostModel
 from repro.mach.mach_vm import MachVirtualMemory
 from repro.nucleus.nucleus import Nucleus
 from repro.pvm.pvm import PagedVirtualMemory

@@ -5,7 +5,7 @@ machine-independent PVM, and each machine-dependent MMU layer (Table
 5), to support two claims: the machine-dependent part is small, and
 porting to a new MMU touches only it.  This module measures the same
 split in the Python reproduction; the MMU-port ablation demonstrates
-the porting claim directly (both ports pass the same semantic tests).
+the porting claim directly (every port passes the same semantic tests).
 """
 
 from __future__ import annotations
@@ -40,6 +40,9 @@ COMPONENTS: Dict[str, List[str]] = {
     ],
     "MMU port: inverted (hashed)": [
         "hardware/inverted_mmu.py",
+    ],
+    "MMU port: segmented (386)": [
+        "hardware/segmented_mmu.py",
     ],
     "Simulated hardware substrate": [
         "hardware/physmem.py", "hardware/mmu.py", "hardware/tlb.py",

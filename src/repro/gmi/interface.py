@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence
 
-from repro.gmi.types import AccessMode, CacheStatistics, Protection, RegionStatus
+from repro.gmi.types import CacheStatistics, Protection, RegionStatus
 from repro.cache.provider import SegmentProvider
 from repro.hardware.mmu import FaultRecord
 

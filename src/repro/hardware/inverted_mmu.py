@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.errors import InvalidOperation
-from repro.hardware.mmu import MMU, Mapping, Prot
+from repro.hardware.mmu import MMU, Mapping
 
 
 class InvertedMMU(MMU):
@@ -65,63 +64,6 @@ class InvertedMMU(MMU):
 
     def _space_size(self, space: int) -> int:
         return len(self._by_space[space])
-
-    # -- batched operations ----------------------------------------------------------
-
-    def map_batch(self, space: int, entries) -> None:
-        """Bulk map: straight hash inserts, one TLB shootdown each."""
-        self._check_space(space)
-        table = self._entries
-        index = self._by_space[space]
-        touched = []
-        for vaddr, frame, prot in entries:
-            if prot == Prot.NONE:
-                raise InvalidOperation(
-                    "mapping with no access bits; use unmap")
-            vpn = self.vpn(vaddr)
-            key = (space, vpn)
-            if key not in table:
-                index.add(vpn)
-            table[key] = Mapping(frame, prot)
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
-
-    def unmap_batch(self, space: int, vaddrs) -> int:
-        """Bulk unmap: straight hash deletes."""
-        self._check_space(space)
-        table = self._entries
-        index = self._by_space[space]
-        dropped = []
-        for vaddr in vaddrs:
-            vpn = self.vpn(vaddr)
-            if table.pop((space, vpn), None) is None:
-                continue
-            index.discard(vpn)
-            dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
-        return len(dropped)
-
-    def protect_batch(self, space: int, items) -> None:
-        """Bulk protect: one hash probe per entry (same accounting as
-        the single-entry path)."""
-        self._check_space(space)
-        table = self._entries
-        touched = []
-        for vaddr, prot in items:
-            vpn = self.vpn(vaddr)
-            key = (space, vpn)
-            self.stats.add("hash_probe")
-            mapping = table.get(key)
-            if mapping is None:
-                raise InvalidOperation(
-                    f"protect: no mapping at {vaddr:#x} in space {space}"
-                )
-            table[key] = Mapping(mapping.frame, prot)
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
 
     # -- introspection -------------------------------------------------------------
 

@@ -2,19 +2,22 @@
 
 This is the boundary that, in the real PVM, separates the
 machine-independent layer from the per-MMU machine-dependent layer
-(the part the paper says takes "about one man-month" to port).  Two
+(the part the paper says takes "about one man-month" to port).  Three
 ports are provided: :class:`~repro.hardware.paged_mmu.PagedMMU`
-(two-level table walk, Sun-3 style) and
+(run-length two-level tables, Sun-3 style),
 :class:`~repro.hardware.inverted_mmu.InvertedMMU` (hashed inverted
-table, custom-MMU style).  Both enforce identical semantics; only the
-internal organisation — and hence the walk statistics — differ.
+table, custom-MMU style) and
+:class:`~repro.hardware.segmented_mmu.SegmentedMMU` (descriptor check
+plus page table, iAPX 386 style).  Every operation's semantics are
+implemented once, in :class:`MMU`; a port supplies only its storage
+organisation and its walk, so only the walk statistics differ.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperation, PageFault, ProtectionViolation
 from repro.kernel.stats import EventCounter
@@ -91,8 +94,10 @@ class MMU:
     An MMU manages any number of hardware *address spaces* (one per
     context), each a partial map from virtual page number to
     (frame, protection).  Subclasses implement the storage organisation
-    via the ``_entry`` / ``_set_entry`` / ``_del_entry`` /
-    ``_iter_space`` hooks; all semantic checks live here.
+    via the per-page ``_entry`` / ``_set_entry`` / ``_del_entry`` /
+    ``_iter_space`` / ``_space_size`` hooks, and may override the run
+    hooks ``_set_run`` / ``_clear_run`` / ``_protect_run``, whose
+    defaults loop the per-page ones; all semantics live here.
     """
 
     #: Human-readable port name, e.g. ``"paged"`` or ``"inverted"``.
@@ -162,8 +167,7 @@ class MMU:
     def map(self, space: int, vaddr: int, frame: int, prot: Prot) -> None:
         """Install a translation for the page containing *vaddr*."""
         self._check_space(space)
-        if prot == Prot.NONE:
-            raise InvalidOperation("mapping with no access bits; use unmap")
+        _check_access(prot)
         vpn = self.vpn(vaddr)
         self._set_entry(space, vpn, Mapping(frame, prot))
         if self.tlb is not None:
@@ -178,132 +182,130 @@ class MMU:
             self.tlb.invalidate(space, vpn)
         return existed
 
-    def unmap_range(self, space: int, vaddr: int, size: int) -> int:
-        """Unmap every page overlapping [vaddr, vaddr+size); return count.
-
-        When the range dwarfs the resident set the walk flips to the
-        space's own entries, so invalidating a huge sparse window costs
-        work proportional to what is actually mapped.
-        """
+    def protect(self, space: int, vaddr: int, prot: Prot) -> None:
+        """Change the protection of an existing translation."""
         self._check_space(space)
-        if size <= 0:
-            return 0
-        start_vpn = self.vpn(vaddr)
-        end_vpn = self.vpn(vaddr + size - 1)
-        span = end_vpn - start_vpn + 1
-        resident = self._space_size(space)
-        if resident is not None and resident < span:
-            vpns = sorted(vpn for vpn, _ in self._iter_space(space)
-                          if start_vpn <= vpn <= end_vpn)
-        else:
-            vpns = range(start_vpn, end_vpn + 1)
-        dropped = []
-        for vpn in vpns:
-            if self._del_entry(space, vpn):
-                dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
-        return len(dropped)
+        vpn = self.vpn(vaddr)
+        self._protect_page(space, vpn, prot)
+        if self.tlb is not None:
+            self.tlb.invalidate(space, vpn)
 
-    # -- batched operations (the hardware layer's bulk primitives) ------------------
+    # -- run, range and batch operations ------------------------------------------
+    #
+    # Each is implemented once, here.  All but protect_batch (which
+    # walks each entry, as protect does) go through the run hooks
+    # (``_set_run`` / ``_clear_run`` / ``_protect_run``), which a
+    # run-aware port overrides to stay O(runs).  Semantics are those of
+    # the per-page operations applied in order: when an entry is
+    # rejected, the entries before it stay applied, and their TLB
+    # entries are shot down before the error propagates.
 
     def map_run(self, space: int, vaddr: int, count: int, frame: int,
                 prot: Prot) -> None:
         """Install *count* translations for consecutive pages starting
         at *vaddr*, backed by consecutive frames starting at *frame*,
-        all with *prot* — the extent-granular port call.
-
-        Semantics are those of :meth:`map` per page.  The base
-        implementation loops; run-aware ports (the paged port) store
-        the whole run as a single table entry.
-        """
-        self._check_space(space)
-        if prot == Prot.NONE:
-            raise InvalidOperation("mapping with no access bits; use unmap")
-        if count <= 0:
-            return
-        vpn = self.vpn(vaddr)
-        for index in range(count):
-            self._set_entry(space, vpn + index, Mapping(frame + index, prot))
-        if self.tlb is not None:
-            self.tlb.invalidate_range(space, vpn, count)
-
-    def protect_range(self, space: int, vaddr: int, count: int,
-                      prot: Prot) -> None:
-        """Change the protection of *count* consecutive existing
-        translations starting at *vaddr* — like :meth:`protect` per
-        page; a missing translation is an error."""
-        if count <= 0:
-            self._check_space(space)
-            return
-        page_size = self.page_size
-        self.protect_batch(
-            space, ((vaddr + index * page_size, prot)
-                    for index in range(count)))
+        all with *prot* — the extent-granular port call."""
+        self._map_runs(space, [(self.vpn(vaddr), count, frame, prot)])
 
     def map_batch(self, space: int, entries) -> None:
         """Install many translations at once.
 
-        *entries* iterates (vaddr, frame, prot) triples.  Semantics are
-        those of :meth:`map` per entry; the batch form exists so ports
-        can amortize their per-space storage lookups.
+        *entries* iterates (vaddr, frame, prot) triples, each installed
+        as a one-page run.
         """
+        shift = self._page_shift
+        self._map_runs(space, ((vaddr >> shift, 1, frame, prot)
+                               for vaddr, frame, prot in entries))
+
+    def unmap_range(self, space: int, vaddr: int, size: int) -> int:
+        """Unmap every page overlapping [vaddr, vaddr+size); return count."""
         self._check_space(space)
-        touched = []
-        for vaddr, frame, prot in entries:
-            if prot == Prot.NONE:
-                raise InvalidOperation(
-                    "mapping with no access bits; use unmap")
-            vpn = self.vpn(vaddr)
-            self._set_entry(space, vpn, Mapping(frame, prot))
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        if size <= 0:
+            return 0
+        start_vpn = self.vpn(vaddr)
+        return self._unmap_runs(
+            space, [(start_vpn, self.vpn(vaddr + size - 1) - start_vpn + 1)])
 
     def unmap_batch(self, space: int, vaddrs) -> int:
-        """Remove many translations at once; return how many existed."""
+        """Remove many translations at once; return how many existed.
+        Adjacent pages coalesce into range clears."""
         self._check_space(space)
-        dropped = []
-        for vaddr in vaddrs:
-            vpn = self.vpn(vaddr)
-            if self._del_entry(space, vpn):
-                dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
-        return len(dropped)
+        shift = self._page_shift
+        runs: List[List[int]] = []
+        for vpn in sorted({vaddr >> shift for vaddr in vaddrs}):
+            if runs and vpn == runs[-1][0] + runs[-1][1]:
+                runs[-1][1] += 1
+            else:
+                runs.append([vpn, 1])
+        return self._unmap_runs(space, runs)
+
+    def protect_range(self, space: int, vaddr: int, count: int,
+                      prot: Prot) -> None:
+        """Change the protection of *count* consecutive existing
+        translations starting at *vaddr*; a missing translation is an
+        error."""
+        self._check_space(space)
+        vpn = self.vpn(vaddr)
+        try:
+            self._protect_run(space, vpn, count, prot)
+        finally:
+            self._invalidate(space, [(vpn, count)])
 
     def protect_batch(self, space: int, items) -> None:
         """Change the protection of many existing translations.
 
         *items* iterates (vaddr, prot) pairs; like :meth:`protect`,
-        a missing translation is an error.
+        each entry walks the table and a missing translation is an
+        error.
         """
         self._check_space(space)
         touched = []
-        for vaddr, prot in items:
-            vpn = self.vpn(vaddr)
-            mapping = self._entry(space, vpn)
-            if mapping is None:
-                raise InvalidOperation(
-                    f"protect: no mapping at {vaddr:#x} in space {space}"
-                )
-            self._set_entry(space, vpn, Mapping(mapping.frame, prot))
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
+        try:
+            for vaddr, prot in items:
+                vpn = self.vpn(vaddr)
+                self._protect_page(space, vpn, prot)
+                touched.append(vpn)
+        finally:
+            if touched and self.tlb is not None:
+                self.tlb.invalidate_batch(space, touched)
 
-    def protect(self, space: int, vaddr: int, prot: Prot) -> None:
-        """Change the protection of an existing translation."""
+    def _map_runs(self, space: int, runs) -> None:
+        """Install (vpn, count, frame, prot) runs in order."""
         self._check_space(space)
-        vpn = self.vpn(vaddr)
+        touched = []
+        try:
+            for vpn, count, frame, prot in runs:
+                _check_access(prot)
+                touched.append((vpn, count))
+                self._set_run(space, vpn, count, frame, prot)
+        finally:
+            self._invalidate(space, touched)
+
+    def _unmap_runs(self, space: int, runs) -> int:
+        """Clear (vpn, count) runs; return how many translations went."""
+        dropped = 0
+        for vpn, count in runs:
+            dropped += self._clear_run(space, vpn, count)
+        if dropped:
+            self._invalidate(space, runs)
+        return dropped
+
+    def _invalidate(self, space: int, runs) -> None:
+        """Shoot down the TLB entries of (vpn, count) runs."""
+        if self.tlb is not None:
+            for vpn, count in runs:
+                self.tlb.invalidate_range(space, vpn, count)
+
+    def _protect_page(self, space: int, vpn: int, prot: Prot) -> None:
         mapping = self._entry(space, vpn)
         if mapping is None:
-            raise InvalidOperation(
-                f"protect: no mapping at {vaddr:#x} in space {space}"
-            )
+            raise self._unmapped(space, vpn)
         self._set_entry(space, vpn, Mapping(mapping.frame, prot))
-        if self.tlb is not None:
-            self.tlb.invalidate(space, vpn)
+
+    def _unmapped(self, space: int, vpn: int) -> InvalidOperation:
+        return InvalidOperation(
+            f"protect: no mapping at {vpn << self._page_shift:#x} "
+            f"in space {space}")
 
     def lookup(self, space: int, vaddr: int) -> Optional[Mapping]:
         """Return the mapping of the page of *vaddr*, if any (no fault)."""
@@ -413,8 +415,36 @@ class MMU:
     def _iter_space(self, space: int) -> Iterator[Tuple[int, Mapping]]:
         raise NotImplementedError
 
-    def _space_size(self, space: int) -> Optional[int]:
-        """Resident-translation count of *space*, or None when the
-        port cannot answer cheaply (range operations then walk the
-        address range instead of the entry set)."""
-        return None
+    def _space_size(self, space: int) -> int:
+        """Resident-translation count of *space*, in O(1)."""
+        raise NotImplementedError
+
+    # -- run hooks (per-page defaults; run-aware ports override) -----------------
+
+    def _set_run(self, space: int, vpn: int, count: int, frame: int,
+                 prot: Prot) -> None:
+        for index in range(count):
+            self._set_entry(space, vpn + index, Mapping(frame + index, prot))
+
+    def _clear_run(self, space: int, vpn: int, count: int) -> int:
+        """Drop the translations of [vpn, vpn+count); return how many
+        existed.  When the run dwarfs the resident set the walk flips
+        to the space's own entries, so invalidating a huge sparse
+        window costs work proportional to what is actually mapped."""
+        end = vpn + count
+        if self._space_size(space) < count:
+            vpns = [key for key, _ in self._iter_space(space)
+                    if vpn <= key < end]
+        else:
+            vpns = range(vpn, end)
+        return sum(self._del_entry(space, key) for key in vpns)
+
+    def _protect_run(self, space: int, vpn: int, count: int,
+                     prot: Prot) -> None:
+        for index in range(count):
+            self._protect_page(space, vpn + index, prot)
+
+
+def _check_access(prot: Prot) -> None:
+    if prot == Prot.NONE:
+        raise InvalidOperation("mapping with no access bits; use unmap")

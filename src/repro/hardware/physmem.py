@@ -8,7 +8,7 @@ asserted on actual byte contents, not on bookkeeping alone.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.errors import BusError, InvalidOperation, OutOfFrames
 from repro.units import DEFAULT_PAGE_SIZE, DEFAULT_PHYSICAL_MEMORY, is_power_of_two

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import InvalidOperation, PageFault
-from repro.hardware.mmu import MMU, Mapping, Prot
+from repro.hardware.mmu import MMU, Mapping
 
 #: Entries per page table (the 386 used 10+10+12 bits on 4K pages; we
 #: keep the two-level split but adapt to the simulated page size).
@@ -62,6 +62,8 @@ class SegmentedMMU(MMU):
         self._descriptors: Dict[int, SegmentDescriptor] = {}
         #: space -> directory -> table -> Mapping (on linear VPNs).
         self._directories: Dict[int, Dict[int, Dict[int, Mapping]]] = {}
+        #: space -> resident translations, so _space_size is O(1).
+        self._resident: Dict[int, int] = {}
 
     # -- storage hooks ---------------------------------------------------------
 
@@ -73,10 +75,12 @@ class SegmentedMMU(MMU):
         self._descriptors[space] = SegmentDescriptor(
             base=base, limit=self.segment_limit)
         self._directories[space] = {}
+        self._resident[space] = 0
 
     def _drop_space(self, space: int) -> None:
         del self._descriptors[space]
         del self._directories[space]
+        del self._resident[space]
 
     def _linear_vpn(self, space: int, vpn: int) -> int:
         descriptor = self._descriptors[space]
@@ -112,7 +116,6 @@ class SegmentedMMU(MMU):
 
     def _set_entry(self, space: int, vpn: int, mapping: Mapping) -> None:
         if vpn << self._page_shift >= self._descriptors[space].limit:
-            from repro.errors import InvalidOperation
             raise InvalidOperation(
                 f"virtual page {vpn:#x} beyond the segment limit "
                 f"({self._descriptors[space].limit:#x})"
@@ -123,6 +126,8 @@ class SegmentedMMU(MMU):
         if table is None:
             table = directory[hi] = {}
             self.stats.add("table_alloc")
+        if lo not in table:
+            self._resident[space] += 1
         table[lo] = mapping
 
     def _del_entry(self, space: int, vpn: int) -> bool:
@@ -131,6 +136,7 @@ class SegmentedMMU(MMU):
         if table is None or lo not in table:
             return False
         del table[lo]
+        self._resident[space] -= 1
         if not table:
             del self._directories[space][hi]
         return True
@@ -142,56 +148,7 @@ class SegmentedMMU(MMU):
                 yield ((hi << TABLE_BITS) | lo) - base_vpn, mapping
 
     def _space_size(self, space: int) -> int:
-        return sum(len(table) for table in self._directories[space].values())
-
-    # -- batched operations ----------------------------------------------------------
-
-    def map_batch(self, space: int, entries) -> None:
-        """Bulk map: one limit check + relocation per entry, table
-        lookups amortized within the linear directory."""
-        self._check_space(space)
-        descriptor = self._descriptors[space]
-        limit = descriptor.limit
-        directory = self._directories[space]
-        touched = []
-        for vaddr, frame, prot in entries:
-            if prot == Prot.NONE:
-                raise InvalidOperation(
-                    "mapping with no access bits; use unmap")
-            vpn = self.vpn(vaddr)
-            if vpn << self._page_shift >= limit:
-                raise InvalidOperation(
-                    f"virtual page {vpn:#x} beyond the segment limit "
-                    f"({limit:#x})"
-                )
-            hi, lo = self._split(self._linear_vpn(space, vpn))
-            table = directory.get(hi)
-            if table is None:
-                table = directory[hi] = {}
-                self.stats.add("table_alloc")
-            table[lo] = Mapping(frame, prot)
-            touched.append(vpn)
-        if touched and self.tlb is not None:
-            self.tlb.invalidate_batch(space, touched)
-
-    def unmap_batch(self, space: int, vaddrs) -> int:
-        """Bulk unmap on the linear page tables."""
-        self._check_space(space)
-        directory = self._directories[space]
-        dropped = []
-        for vaddr in vaddrs:
-            vpn = self.vpn(vaddr)
-            hi, lo = self._split(self._linear_vpn(space, vpn))
-            table = directory.get(hi)
-            if table is None or lo not in table:
-                continue
-            del table[lo]
-            if not table:
-                del directory[hi]
-            dropped.append(vpn)
-        if dropped and self.tlb is not None:
-            self.tlb.invalidate_batch(space, dropped)
-        return len(dropped)
+        return self._resident[space]
 
     # -- introspection --------------------------------------------------------------
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from repro.errors import InvalidOperation
 from repro.mix.program import Program
 from repro.segments.capability import Capability
-from repro.units import page_ceil
 
 #: magic, version, text, data, bss, stack, entry  (7 u32, big-endian)
 HEADER = struct.Struct(">7I")

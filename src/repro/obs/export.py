@@ -24,7 +24,7 @@ the layer contract (``python -m repro layers``) enforces that.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.obs.span import Span
 

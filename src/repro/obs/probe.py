@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import NULL_SINK, SpanSink
-from repro.obs.span import NOOP_SPAN, NoopSpan, Span
+from repro.obs.span import NOOP_SPAN, Span
 
 
 class Probe:

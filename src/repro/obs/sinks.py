@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.obs.span import Span
 

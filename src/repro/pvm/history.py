@@ -22,7 +22,7 @@ write-resolution machinery shared with the fault path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import InvalidOperation
 from repro.gmi.interface import CopyPolicy

@@ -10,7 +10,6 @@ in use, never on the size of segments or address spaces.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional
 
 from repro.cache.engine import CacheEngine

@@ -11,7 +11,7 @@ from typing import List, Optional, Set
 
 from repro.pvm.cache import PvmCache
 from repro.pvm.context import PvmContext
-from repro.pvm.page import CowStub, RealPageDescriptor, SyncStub
+from repro.pvm.page import CowStub, SyncStub
 
 
 def _roots_of(cache: PvmCache) -> List[PvmCache]:

@@ -15,10 +15,9 @@ Two patterns matter for the history-vs-shadow comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
 
 from repro.gmi.interface import CopyPolicy
-from repro.kernel.clock import ClockRegion, CostEvent
+from repro.kernel.clock import ClockRegion
 
 
 @dataclass

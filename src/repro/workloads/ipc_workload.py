@@ -8,7 +8,6 @@ from typing import List
 
 _sweep_serial = itertools.count(1)
 
-from repro.cache.provider import ZeroFillProvider
 from repro.kernel.clock import ClockRegion, CostEvent
 
 

@@ -61,7 +61,7 @@ import random
 import sys
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from struct import Struct
 from typing import Iterable, Iterator, List, Optional, Tuple
 

@@ -252,16 +252,57 @@ class TestBatchOps:
 
     def test_space_size_hint_tracks_residency(self, mmu):
         space = mmu.create_space()
-        assert mmu._space_size(space) in (0, None)
+        assert mmu._space_size(space) == 0
         mmu.map_batch(space, [(index * PAGE, index, Prot.RW)
                               for index in range(4)])
-        size = mmu._space_size(space)
-        if size is not None:
-            assert size == 4
+        mmu.map(space, 0, 9, Prot.READ)          # a remap adds nothing
+        assert mmu._space_size(space) == 4
         mmu.unmap_batch(space, [0, PAGE])
-        size = mmu._space_size(space)
-        if size is not None:
-            assert size == 2
+        assert mmu._space_size(space) == 2
+
+    def test_rejected_batches_leave_the_tlb_coherent(self, mmu):
+        """A call that stops at a bad entry keeps the entries before
+        it, as per-entry calls would, and shoots their TLB entries down
+        before raising: ``translate`` agrees with ``lookup`` after."""
+        from repro.hardware.tlb import TLB
+        mmu = type(mmu)(page_size=PAGE, tlb=TLB(8))
+        space = mmu.create_space()
+        pages = (0, PAGE)
+
+        def warm():
+            for vaddr in pages:
+                mmu.translate(space, vaddr, write=True)
+
+        def agree():
+            for vaddr in pages:
+                mapping = mmu.lookup(space, vaddr)
+                for write in (False, True):
+                    if mapping.prot.allows(write):
+                        assert mmu.translate(space, vaddr, write) == \
+                            mapping.frame * PAGE
+                    else:
+                        with pytest.raises(ProtectionViolation):
+                            mmu.translate(space, vaddr, write)
+
+        mmu.map_batch(space, [(0, 0, Prot.RW), (PAGE, 1, Prot.RW)])
+        warm()
+        with pytest.raises(InvalidOperation):
+            mmu.protect_batch(space, [(0, Prot.READ), (2 * PAGE, Prot.READ)])
+        assert mmu.lookup(space, 0).prot == Prot.READ
+        agree()
+        mmu.protect(space, 0, Prot.RW)
+        warm()
+        with pytest.raises(InvalidOperation):
+            mmu.protect_range(space, 0, 3, Prot.READ)
+        assert mmu.lookup(space, PAGE).prot == Prot.READ
+        agree()
+        mmu.protect_range(space, 0, 2, Prot.RW)
+        warm()
+        with pytest.raises(InvalidOperation):
+            mmu.map_batch(space, [(0, 5, Prot.RW), (PAGE, 6, Prot.NONE)])
+        assert mmu.lookup(space, 0).frame == 5
+        assert mmu.lookup(space, PAGE).frame == 1
+        agree()
 
     def test_unmap_range_on_huge_sparse_window(self, mmu):
         """A giant sparse invalidation walks the resident set, not the

@@ -1,4 +1,5 @@
-"""Every example script must run cleanly end-to-end."""
+"""Every example script must run cleanly end-to-end, with deprecation
+warnings promoted to errors (as the tier-1 suite runs)."""
 
 import pathlib
 import subprocess
@@ -14,7 +15,7 @@ EXAMPLES = sorted(
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.stem)
 def test_example_runs(script):
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::DeprecationWarning", str(script)],
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
