@@ -102,7 +102,7 @@ def test_figure3_shape_invariant(benchmark):
         nucleus, _ = build_scenario(label)
         for cache in nucleus.vm.caches():
             if cache.guards:
-                targets = {f.payload.cache for f in cache.guards}
+                targets = {link.cache for link in cache.guards.values()}
                 assert len(targets) == 1          # one history object
             assert len(cache.children) <= 2       # binary
         return True

@@ -30,7 +30,7 @@ COMPONENTS: Dict[str, List[str]] = {
         "pvm/pvm.py", "pvm/history.py", "pvm/pervpage.py", "pvm/fault.py",
         "pvm/pageout.py", "pvm/cacheops.py", "pvm/cache.py",
         "pvm/context.py", "pvm/region.py", "pvm/page.py",
-        "pvm/global_map.py", "pvm/fragments.py",
+        "pvm/global_map.py",
     ],
     "PVM: machine-dependent layer": [
         "pvm/hw_interface.py",

@@ -53,8 +53,7 @@ class RealPageDescriptor:
     def guarded(self) -> bool:
         """True when writes to this page must first preserve the
         original in the cache's history object."""
-        guard = self.cache.guards.find(self.offset)
-        return guard is not None
+        return self.cache.guards.get(self.offset) is not None
 
     def __repr__(self) -> str:
         flags = "".join([

@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 
 from repro.cache.descriptor import RealPageDescriptor
 from repro.cache.eviction import EvictionPolicy
-from repro.extents import ExtentSet
 
 
 class ResidencyIndex:
@@ -34,16 +33,12 @@ class ResidencyIndex:
 
     def __init__(self, policy: EvictionPolicy, page_size: int = 1):
         self.policy = policy
-        #: granularity of the extent view: offsets are tracked as
-        #: ``offset // page_size`` page numbers, so a contiguous byte
-        #: range is one extent regardless of its page count.
+        #: page size: adjacent resident offsets ``page_size`` apart
+        #: coalesce into one extent in :meth:`resident_extents`.
         self.page_size = page_size
         #: cache_id -> (offset -> RealPageDescriptor); each value dict
         #: is the very object the cache holds as ``cache.pages``.
         self._pages: Dict[int, Dict[int, RealPageDescriptor]] = {}
-        #: cache_id -> resident page numbers as a run-length set,
-        #: maintained alongside every table mutation.
-        self._extents: Dict[int, ExtentSet] = {}
         self._count = 0
 
     # -- cache lifecycle ---------------------------------------------------------
@@ -60,7 +55,6 @@ class ResidencyIndex:
         """Forget a destroyed cache's table (must already be empty of
         pages the policy still tracks — callers drop pages first)."""
         table = self._pages.pop(cache_id, None)
-        self._extents.pop(cache_id, None)
         if table:
             for page in table.values():
                 self.policy.unregister(page)
@@ -82,19 +76,7 @@ class ResidencyIndex:
             if table is None:
                 table = {}
             self._pages[cache.cache_id] = table
-            if table:
-                # A re-linked table may already hold pages — rebuild
-                # the extent view so it never trails the table.
-                extent = self._extent_for(cache.cache_id)
-                for offset in table:
-                    extent.add(offset // self.page_size)
         return table
-
-    def _extent_for(self, cache_id: int) -> ExtentSet:
-        extent = self._extents.get(cache_id)
-        if extent is None:
-            extent = self._extents[cache_id] = ExtentSet()
-        return extent
 
     # -- page mutation -----------------------------------------------------------
 
@@ -103,8 +85,6 @@ class ResidencyIndex:
         table = self._table_for(page.cache)
         if page.offset not in table:
             self._count += 1
-            self._extent_for(page.cache.cache_id).add(
-                page.offset // self.page_size)
         table[page.offset] = page
         self.policy.register(page)
 
@@ -113,8 +93,6 @@ class ResidencyIndex:
         table = self._pages.get(page.cache.cache_id)
         if table is not None and table.pop(page.offset, None) is not None:
             self._count -= 1
-            self._extent_for(page.cache.cache_id).discard(
-                page.offset // self.page_size)
         self.policy.unregister(page)
 
     def rebind(self, page: RealPageDescriptor, dst_cache,
@@ -126,15 +104,11 @@ class ResidencyIndex:
         if src_table is not None and \
                 src_table.pop(page.offset, None) is not None:
             self._count -= 1
-            self._extent_for(page.cache.cache_id).discard(
-                page.offset // self.page_size)
         page.cache = dst_cache
         page.offset = dst_offset
         dst_table = self._table_for(dst_cache)
         if dst_offset not in dst_table:
             self._count += 1
-            self._extent_for(dst_cache.cache_id).add(
-                dst_offset // self.page_size)
         dst_table[dst_offset] = page
         # the policy entry survives untouched — same descriptor object.
 
@@ -157,14 +131,16 @@ class ResidencyIndex:
 
     def resident_extents(self, cache_id: int) -> List[Tuple[int, int]]:
         """Resident data of *cache_id* as sorted, disjoint ``(offset,
-        length)`` byte runs — O(extents), however many pages each run
-        spans."""
-        extent = self._extents.get(cache_id)
-        if extent is None:
-            return []
+        length)`` byte runs, coalesced from the resident offsets on
+        demand (only snapshot-time and control callers ask)."""
         page_size = self.page_size
-        return [(start * page_size, count * page_size)
-                for start, count in extent.runs()]
+        runs: List[List[int]] = []
+        for offset in sorted(self._pages.get(cache_id, ())):
+            if runs and runs[-1][1] == offset:
+                runs[-1][1] = offset + page_size
+            else:
+                runs.append([offset, offset + page_size])
+        return [(start, end - start) for start, end in runs]
 
     def set_policy(self, policy: EvictionPolicy) -> None:
         """Swap the eviction policy at runtime, re-registering every

@@ -1,17 +1,16 @@
-"""Extent primitives: run-length sets, interval maps, translation runs.
+"""Extent primitives: interval maps and translation runs.
 
 Per-page bookkeeping is the structural bottleneck of a conventional
 VM implementation: a million-page mapping held as a million dict
 entries costs a million times more memory — and a million times more
 python — than the single ``(start, length)`` fact it encodes.  This
-package provides the three pure data structures the rest of the stack
+package provides the two pure data structures the rest of the stack
 uses to store address-space state in extent (run) form:
 
-* :class:`~repro.extents.runs.ExtentSet` — a set of non-negative
-  integers kept as disjoint half-open runs (the residency index's view
-  of "which offsets are in RAM");
 * :class:`~repro.extents.intervalmap.IntervalMap` — disjoint
-  ``[start, end) -> value`` intervals (the context's region map);
+  ``[start, end) -> value`` intervals: the context's region map, a
+  cache's parent, guard and protection-cap fragment lists, and the
+  in-flight table;
 * :class:`~repro.extents.runmap.RunMap` — ``key -> (base + offset,
   value)`` translation runs with frame arithmetic (the paged MMU's
   page table: one entry per contiguous vpn->pfn run of uniform
@@ -26,6 +25,5 @@ each other — can share it.
 
 from repro.extents.intervalmap import IntervalMap
 from repro.extents.runmap import RunMap
-from repro.extents.runs import ExtentSet
 
-__all__ = ["ExtentSet", "IntervalMap", "RunMap"]
+__all__ = ["IntervalMap", "RunMap"]

@@ -2,19 +2,23 @@
 
 An :class:`IntervalMap` stores non-overlapping half-open intervals
 ``[start, end)``, each carrying an opaque value, in parallel sorted
-lists.  Point lookup and overlap queries are binary searches; this is
-the sorted-interval-tree replacement for the paper's per-context
-sorted region *list* (section 4.1.1), whose linear rebuild-per-lookup
-dominated region operations on large address spaces.
+lists.  Point lookup and overlap queries are binary searches.  It is
+the one sorted-range structure of the reproduction: the paper's
+per-context sorted region list (section 4.1.1), the per-cache sorted
+fragment lists of parent and guard links (section 4.2.4), the
+protection caps and the in-flight table are all interval maps.
 
-Unlike :class:`~repro.extents.runs.ExtentSet`, adjacent intervals are
-never coalesced — each interval is a distinct object (a region).
+Adjacent intervals are never coalesced: each interval is a distinct
+object (a region, a link).  :meth:`cut` may split an interval; the
+piece that no longer starts where its interval did carries
+``value.shifted(delta)``, the value re-based by the *delta* its start
+moved (a link's target offset moves with it).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 
 class IntervalMap:
@@ -66,6 +70,46 @@ class IntervalMap:
                 f"resize to [{start}, {new_end}) overlaps "
                 f"[{self._starts[index + 1]}, {self._ends[index + 1]})")
         self._ends[index] = new_end
+
+    def cut(self, start: int, end: int) -> List[Tuple[int, int, Any]]:
+        """Remove all coverage of ``[start, end)``, splitting intervals
+        that straddle either bound; return the removed pieces as
+        ``(start, end, value)`` triples, in order.  A piece starting
+        *delta* past its interval's start carries
+        ``value.shifted(delta)``, in the result or in the map."""
+        if end <= start:
+            return []
+        starts, ends, values = self._starts, self._ends, self._values
+        lo = bisect_right(ends, start)
+        hi = bisect_left(starts, end)
+        if lo >= hi:
+            return []
+        removed = []
+        for k in range(lo, hi):
+            piece_start = max(starts[k], start)
+            removed.append((piece_start, min(ends[k], end),
+                            _shifted(values[k], piece_start - starts[k])))
+        keep: List[Tuple[int, int, Any]] = []
+        if starts[lo] < start:
+            keep.append((starts[lo], start, values[lo]))
+        if ends[hi - 1] > end:
+            keep.append((end, ends[hi - 1],
+                         _shifted(values[hi - 1], end - starts[hi - 1])))
+        starts[lo:hi] = [piece[0] for piece in keep]
+        ends[lo:hi] = [piece[1] for piece in keep]
+        values[lo:hi] = [piece[2] for piece in keep]
+        return removed
+
+    def retain(self, keep: Callable[[Any], bool]) -> int:
+        """Drop every interval whose value fails *keep*; return how
+        many were dropped."""
+        kept = [k for k, value in enumerate(self._values) if keep(value)]
+        dropped = len(self._values) - len(kept)
+        if dropped:
+            self._starts[:] = [self._starts[k] for k in kept]
+            self._ends[:] = [self._ends[k] for k in kept]
+            self._values[:] = [self._values[k] for k in kept]
+        return dropped
 
     def clear(self) -> None:
         """Remove every interval."""
@@ -121,3 +165,7 @@ class IntervalMap:
 
     def __repr__(self) -> str:
         return f"IntervalMap({len(self._starts)} intervals)"
+
+
+def _shifted(value: Any, delta: int) -> Any:
+    return value.shifted(delta) if delta else value

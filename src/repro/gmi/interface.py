@@ -137,9 +137,7 @@ class Cache:
 
     def resident_extents(self) -> Sequence[tuple]:
         """Resident data as sorted, disjoint ``(offset, length)`` byte
-        runs — the canonical residency introspection (docs/API.md).
-        A fully-resident million-page cache answers in O(extents),
-        not O(pages)."""
+        runs — the canonical residency introspection (docs/API.md)."""
         raise NotImplementedError
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from repro.errors import HardwareFault, PageFault, ProtectionViolation
 from repro.hardware.mmu import MMU, FaultRecord
 from repro.hardware.physmem import PhysicalMemory
-from repro.kernel.stats import EventCounter
+from repro.kernel import EventCounter
 
 #: A fault handler resolves the fault (returns) or raises a kernel
 #: exception such as SegmentationFault / AccessViolation.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperation, PageFault, ProtectionViolation
-from repro.kernel.stats import EventCounter
+from repro.kernel import EventCounter
 from repro.units import is_power_of_two
 
 

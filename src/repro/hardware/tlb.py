@@ -13,31 +13,21 @@ reaped lazily when encountered; because a stale entry is exactly one
 the eager implementation would already have deleted, every observable
 counter (hit/miss/evict/shootdown/space_flush/full_flush) and
 ``occupancy`` matches the eager behaviour bit for bit.
-
-The TLB also supports **extent-granular entries** (opt-in via the
-keyword-only ``run_entries`` capacity): one run entry covers a whole
-contiguous vpn->pfn run with uniform protection, probed when the exact
-per-page array misses.  Run entries are conservative on invalidation —
-any overlap drops the whole run — so they can never return a stale
-translation.  With ``run_entries=0`` (the default) every counter and
-behaviour is exactly that of the page-granular TLB.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.hardware.mmu import Mapping
-from repro.kernel.stats import EventCounter
+from repro.kernel import EventCounter
 
 
 class TLB:
     """Translation lookaside buffer: (space, vpn) -> Mapping, LRU."""
 
-    def __init__(self, entries: int = 64, registry=None, *,
-                 run_entries: int = 0):
+    def __init__(self, entries: int = 64, registry=None):
         if entries <= 0:
             raise ValueError("TLB must have at least one entry")
         self.capacity = entries
@@ -48,12 +38,6 @@ class TLB:
         # Live keys per space: what an eager TLB would actually hold.
         self._space_keys: Dict[int, Set[Tuple[int, int]]] = {}
         self._live = 0
-        #: extent-granular entries: space -> sorted [start, end, frame,
-        #: prot] runs.  Empty unless run_entries > 0.
-        self.run_capacity = run_entries
-        self._runs: Dict[int, List[List[int]]] = {}
-        self._run_fifo: "deque[Tuple[int, int]]" = deque()
-        self._run_count = 0
         self.stats = EventCounter(registry=registry, namespace="tlb.")
 
     def bind_registry(self, registry) -> None:
@@ -72,12 +56,6 @@ class TLB:
                 return entry[0]
             # Stale: a flushed-away entry the eager TLB no longer had.
             del self._entries[key]
-        if self._runs:
-            mapping = self._probe_runs(space, vpn)
-            if mapping is not None:
-                self.stats.add("hit")
-                self.stats.add("run_hit")
-                return mapping
         self.stats.add("miss")
         return None
 
@@ -114,15 +92,15 @@ class TLB:
 
         This is the vectorized bus's TLB leg: for every vpn it performs
         exactly the state transitions :meth:`probe` (+ :meth:`fill` on
-        a miss) would — LRU reordering, lazy stale reaping, run-entry
-        probing, capacity eviction — with the fill inlined (the key is
-        known absent at fill time: a hit was taken or the stale entry
-        reaped) and the hit/run_hit/miss/evict counters batched into at
-        most four adds.  *walk* is called on each miss with the vpn and
-        must return the :class:`Mapping` a table walk finds; it must be
-        statistic-free — the caller charges the port's per-miss walk
-        statistics in aggregate from the returned miss count (constant
-        per port for a mapped vpn; see ``MMU.walk_stats_mapped``).
+        a miss) would — LRU reordering, lazy stale reaping, capacity
+        eviction — with the fill inlined (the key is known absent at
+        fill time: a hit was taken or the stale entry reaped) and the
+        hit/miss/evict counters batched into at most three adds.
+        *walk* is called on each miss with the vpn and must return the
+        :class:`Mapping` a table walk finds; it must be statistic-free
+        — the caller charges the port's per-miss walk statistics in
+        aggregate from the returned miss count (constant per port for a
+        mapped vpn; see ``MMU.walk_stats_mapped``).
 
         Counter totals, entry order and occupancy are bit-identical to
         a per-vpn ``probe``/``fill`` loop; only the number of registry
@@ -136,13 +114,11 @@ class TLB:
         popitem = entries.popitem
         space_keys = self._space_keys
         keys_add = space_keys.setdefault(space, set()).add
-        probe_runs = self._probe_runs
-        have_runs = bool(self._runs)
         capacity = self.capacity
         live = self._live
         if base:
             vpns = [vpn + base for vpn in vpns]
-        hits = run_hits = misses = evicts = 0
+        hits = misses = evicts = 0
         try:
             for vpn in vpns:
                 key = (space, vpn)
@@ -154,10 +130,6 @@ class TLB:
                         continue
                     # Stale: the eager TLB would already have dropped it.
                     del entries[key]
-                if have_runs and probe_runs(space, vpn) is not None:
-                    hits += 1
-                    run_hits += 1
-                    continue
                 misses += 1
                 # Inlined fill() fresh-install branch (the key is known
                 # absent here): evict the LRU live entry when full,
@@ -179,8 +151,6 @@ class TLB:
             # must not appear here as a zero-valued series.
             if hits:
                 self.stats.add("hit", hits)
-            if run_hits:
-                self.stats.add("run_hit", run_hits)
             if misses:
                 self.stats.add("miss", misses)
             if evicts:
@@ -239,77 +209,6 @@ class TLB:
                 self.stats.add("evict")
                 return
 
-    # -- extent-granular entries -------------------------------------------------
-
-    def fill_run(self, space: int, start_vpn: int, count: int,
-                 base_frame: int, prot) -> None:
-        """Install one extent entry covering ``count`` pages from
-        *start_vpn* mapped to contiguous frames from *base_frame*.
-        No-op unless the TLB was built with ``run_entries > 0``."""
-        if self.run_capacity <= 0 or count <= 0:
-            return
-        self._drop_runs(space, start_vpn, start_vpn + count)
-        runs = self._runs.setdefault(space, [])
-        insort(runs, [start_vpn, start_vpn + count, base_frame, prot])
-        self._run_fifo.append((space, start_vpn))
-        self._run_count += 1
-        while self._run_count > self.run_capacity:
-            self._evict_run()
-
-    def _probe_runs(self, space: int, vpn: int) -> Optional[Mapping]:
-        runs = self._runs.get(space)
-        if not runs:
-            return None
-        index = bisect_right(runs, [vpn + 1]) - 1
-        if index >= 0:
-            start, end, frame, prot = runs[index]
-            if start <= vpn < end:
-                return Mapping(frame + (vpn - start), prot)
-        return None
-
-    def _drop_runs(self, space: int, start_vpn: int, end_vpn: int) -> None:
-        """Drop every run entry of *space* overlapping [start_vpn,
-        end_vpn) — conservative whole-run invalidation."""
-        runs = self._runs.get(space)
-        if not runs:
-            return
-        survivors = [run for run in runs
-                     if run[1] <= start_vpn or run[0] >= end_vpn]
-        if len(survivors) != len(runs):
-            self._run_count -= len(runs) - len(survivors)
-            if survivors:
-                self._runs[space] = survivors
-            else:
-                del self._runs[space]
-
-    def _drop_space_runs(self, space: int) -> None:
-        runs = self._runs.pop(space, None)
-        if runs:
-            self._run_count -= len(runs)
-
-    def _evict_run(self) -> None:
-        while self._run_fifo:
-            space, start_vpn = self._run_fifo.popleft()
-            runs = self._runs.get(space)
-            if not runs:
-                continue
-            index = bisect_right(runs, [start_vpn + 1]) - 1
-            # The FIFO may reference a run already invalidated (or one
-            # re-filled at the same start); only a live exact match is
-            # an eviction.
-            if 0 <= index < len(runs) and runs[index][0] == start_vpn:
-                del runs[index]
-                if not runs:
-                    del self._runs[space]
-                self._run_count -= 1
-                self.stats.add("run_evict")
-                return
-
-    @property
-    def run_occupancy(self) -> int:
-        """Extent entries currently cached."""
-        return self._run_count
-
     # -- invalidation ------------------------------------------------------------
 
     def invalidate(self, space: int, vpn: int) -> None:
@@ -320,8 +219,6 @@ class TLB:
             self._space_keys[space].discard(key)
             self._live -= 1
             self.stats.add("shootdown")
-        if self._runs:
-            self._drop_runs(space, vpn, vpn + 1)
 
     def invalidate_batch(self, space: int, vpns: Iterable[int]) -> None:
         """Shoot down several entries of one space (one call from the
@@ -336,8 +233,6 @@ class TLB:
             if entry is not None and entry[1] == gen:
                 keys.discard(key)
                 dropped += 1
-            if self._runs:
-                self._drop_runs(space, vpn, vpn + 1)
         if dropped:
             self._live -= dropped
             self.stats.add("shootdown", dropped)
@@ -378,8 +273,6 @@ class TLB:
         if dropped:
             self._live -= dropped
             self.stats.add("shootdown", dropped)
-        if self._runs:
-            self._drop_runs(space, start_vpn, end_vpn)
         return dropped
 
     def flush_space(self, space: int) -> None:
@@ -391,8 +284,6 @@ class TLB:
             self._space_gen[space] = self._space_gen.get(space, 0) + 1
             self._live -= len(keys)
             self.stats.add("space_flush")
-        if self._runs:
-            self._drop_space_runs(space)
 
     def flush(self) -> None:
         """Drop everything."""
@@ -400,9 +291,6 @@ class TLB:
         self._space_keys.clear()
         self._space_gen.clear()
         self._live = 0
-        self._runs.clear()
-        self._run_fifo.clear()
-        self._run_count = 0
         self.stats.add("full_flush")
 
     @property

@@ -55,7 +55,7 @@ from repro.errors import InvalidOperation
 from repro.fastpath import get_numpy
 from repro.hardware.bus import MemoryBus
 from repro.hardware.mmu import MMU, _READ_BIT, _SYSTEM_BIT, _WRITE_BIT
-from repro.kernel.stats import EventCounter
+from repro.kernel import EventCounter
 
 #: Accesses classified per vectorized round (bounds temporary arrays).
 BATCH = 1 << 16

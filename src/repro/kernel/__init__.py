@@ -7,7 +7,7 @@ paper's timing tables on simulated hardware.
 """
 
 from repro.kernel.clock import CostEvent, CostModel, VirtualClock
-from repro.kernel.stats import EventCounter
+from repro.obs.metrics import EventCounter
 from repro.kernel.sync import HostSync
 
 __all__ = [

@@ -22,8 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, Optional
 
-from repro.kernel.stats import EventCounter
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import EventCounter, MetricsRegistry
 
 
 class CostEvent(enum.Enum):

@@ -71,20 +71,21 @@ class ShadowMixin:
             self.hw.downgrade_page(page)
 
         # The original inherits the source's backing chain for the range.
-        for removed in src.parents.remove_range(src_offset, size):
-            parent = removed.payload.cache
-            original.parents.insert(removed.offset, removed.size,
-                                    removed.payload)
+        for start, end, link in src.parents.cut(src_offset,
+                                                src_offset + size):
+            parent = link.cache
+            original.parents.add(start, end, link)
             parent.children.add(original)
             # Outside the copied range src may still reach this parent.
-            if not any(fragment.payload.cache is parent
-                       for fragment in src.parents):
+            if not any(other.cache is parent
+                       for other in src.parents.values()):
                 parent.children.discard(src)
 
-        src.parents.insert(src_offset, size, Link(original, src_offset))
+        src.parents.add(src_offset, src_offset + size,
+                        Link(original, src_offset))
         mode = "cor" if on_reference else "cow"
-        dst.parents.insert(dst_offset, size,
-                           Link(original, src_offset, mode))
+        dst.parents.add(dst_offset, dst_offset + size,
+                        Link(original, src_offset, mode))
         original.children.update((src, dst))
 
     # ------------------------------------------------------------------

@@ -31,7 +31,6 @@ from repro.obs.export import (
 from repro.obs.metrics import MetricsRegistry, series_name, split_series
 from repro.obs.pressure import (
     STALL_WINDOWS_MS, PressureBoard, SpaceAccount, StallWindow,
-    extent_overlap_pages,
 )
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.schema import SNAPSHOT_SCHEMA, validate
@@ -48,7 +47,6 @@ __all__ = [
     "SpaceAccount",
     "StallWindow",
     "STALL_WINDOWS_MS",
-    "extent_overlap_pages",
     "Probe",
     "NULL_PROBE",
     "Span",

@@ -15,12 +15,16 @@ consumer that predates labels (vmstat columns, snapshot schemas,
 ``counter_value``) keeps reading the aggregate it always read, while
 new consumers can decompose the same cost by backend, MMU port,
 pipeline stage or segment.
+
+An :class:`EventCounter` is a component's namespaced view of a
+registry: the clock, the MMU ports, the TLB and the buses count their
+events through one.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 
 def series_name(name: str, labels: Optional[Mapping[str, object]]) -> str:
@@ -149,8 +153,9 @@ class MetricsRegistry:
         #: return after a single attribute check: the idle fast path.
         #: Every counter an event-heavy run would have produced is
         #: simply absent, so pause a registry only around code whose
-        #: metrics nobody will read (the bench harness does this for
-        #: its timed repeats; the instrumented pass re-enables).
+        #: metrics nobody will read (``perf/``'s overhead measurement
+        #: pauses one side of each pair).  Pausing changes no policy:
+        #: the pressure board keeps its ledgers either way.
         self.enabled = True
 
     def _base_of(self, name: str) -> Optional[str]:
@@ -356,3 +361,88 @@ class MetricsRegistry:
                     f"{len(self._gauges)} gauges, "
                     f"{len(self._histograms)} histograms, "
                     f"gen={self.generation})")
+
+
+class EventCounter:
+    """A bag of named integer counters: a namespaced registry view.
+
+    Each instance is a *namespaced view* of a registry: counters it
+    creates are remembered, and ``snapshot()`` / ``reset()`` touch only
+    those, so several components (clock events, TLB statistics, probe
+    counters) can share one registry without clobbering each other.
+
+    A view may also carry fixed *labels* (an MMU port's
+    ``{"port": "paged"}``): every counter it touches becomes a labeled
+    ``name{k=v}`` series, and the registry maintains the plain-name
+    rollup automatically, so one shared registry can hold the same
+    statistic decomposed across several components.
+
+    Constructed bare (``EventCounter()``) it owns a private registry
+    and behaves exactly like the original stand-alone counter bag.
+    """
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 namespace: str = "",
+                 labels: Optional[Mapping[str, object]] = None):
+        self.registry = registry or MetricsRegistry()
+        self.namespace = namespace
+        self.labels = dict(labels) if labels else None
+        #: ``name{labels}`` suffix appended to every counter name.
+        self._suffix = series_name("", self.labels) if self.labels else ""
+        #: fully-qualified names this view has incremented.
+        self._owned: Set[str] = set()
+        #: short-name -> fully-qualified name memo; the add() hot path
+        #: (every clock charge goes through it) pays one dict get
+        #: instead of two string concatenations per call.
+        self._full_names: Dict[str, str] = {}
+
+    def _full(self, name: str) -> str:
+        return self.namespace + name + self._suffix
+
+    def add(self, name: str, count: int = 1) -> None:
+        """Increment counter *name* by *count*."""
+        full = self._full_names.get(name)
+        if full is None:
+            full = self._full_names[name] = self._full(name)
+            self._owned.add(full)
+        self.registry.inc(full, count)
+
+    def get(self, name: str) -> int:
+        """Current value of counter *name* (0 if never incremented)."""
+        return self.registry.counter_value(self._full(name))
+
+    def reset(self) -> None:
+        """Zero every counter of this view (others in the shared
+        registry are untouched); bumps the registry generation."""
+        self.registry.drop_counters(self._owned)
+        self._owned.clear()
+        self._full_names.clear()
+
+    def snapshot(self) -> Dict[str, int]:
+        """A copy of this view's counters, namespace stripped."""
+        values = self.registry.counter_values()
+        prefix = len(self.namespace)
+        return {
+            name[prefix:]: values[name]
+            for name in self._owned if name in values
+        }
+
+    def rebind(self, registry: MetricsRegistry) -> None:
+        """Move this view's counters into another registry.
+
+        Used when a component built before its manager (e.g. a TLB
+        handed to the constructor) is adopted into the manager's shared
+        registry: accumulated counts migrate so nothing is lost.
+        """
+        if registry is self.registry:
+            return
+        values = self.registry.counter_values()
+        self.registry.drop_counters(self._owned)
+        for name in self._owned:
+            if name in values and values[name]:
+                registry.inc(name, values[name])
+        self.registry = registry
+
+    def __repr__(self) -> str:
+        nonzero = {k: v for k, v in self.snapshot().items() if v}
+        return f"EventCounter({nonzero!r})"

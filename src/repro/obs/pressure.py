@@ -30,8 +30,8 @@ Determinism contract — the reason this module is shaped the way it is:
 
 Layering: this module may import only :mod:`repro.obs.metrics` —
 no backends, no hardware, no cache subsystem (``check_layers`` rule 7).
-Callers hand in primitives (space ids, page counts, extent lists), not
-kernel objects.
+Callers hand in primitives (space ids, page counts), not kernel
+objects.
 """
 
 from __future__ import annotations
@@ -190,24 +190,19 @@ class _StallScope:
 
     Charges the interval into the global ``some`` window, the global
     ``full`` window when every active task is stalled, and the current
-    task's space window.  Inactive (and allocation-only) when the
-    registry is paused.
+    task's space window.
     """
 
-    __slots__ = ("board", "kind", "active", "entered_full", "acct")
+    __slots__ = ("board", "kind", "entered_full", "acct")
 
     def __init__(self, board: "PressureBoard", kind: str):
         self.board = board
         self.kind = kind
-        self.active = False
         self.entered_full = False
         self.acct: Optional[SpaceAccount] = None
 
     def __enter__(self) -> "_StallScope":
         board = self.board
-        if not board.registry.enabled:
-            return self
-        self.active = True
         now = board.now()
         board._stall_depth += 1
         board.some.enter(now)
@@ -227,8 +222,6 @@ class _StallScope:
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> bool:
-        if not self.active:
-            return False
         board = self.board
         now = board.now()
         if board._stall_depth:
@@ -241,31 +234,16 @@ class _StallScope:
         return False
 
 
-class _NullScope:
-    """Shared do-nothing scope for stalls bracketed while the registry
-    is paused (no per-pull allocation on the bench's timed repeats)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullScope":
-        return self
-
-    def __exit__(self, exc_type, exc, _tb) -> bool:
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
 class PressureBoard:
     """The per-manager pressure plane: ledgers plus stall windows.
 
     Constructed with the manager's shared registry and a ``now``
     callable (the virtual clock's ``now`` bound method — the board
-    never sees the clock object, let alone charges it).  All recording
-    verbs are gated on ``registry.enabled`` so a paused registry pays
-    one attribute check per event, mirroring the rest of the probe
-    surface.
+    never sees the clock object, let alone charges it).  The ledger
+    fields, stall windows and ``stall_counts`` are recorded whatever
+    the registry's state: the balancer reads them as policy inputs, so
+    pausing metrics must not change pressure policy.  Only the series
+    writes pause with the registry (``registry.inc`` is a no-op then).
     """
 
     def __init__(self, registry: MetricsRegistry, now,
@@ -306,14 +284,9 @@ class PressureBoard:
     # -- task attribution ----------------------------------------------------
 
     def begin_task(self, space: int) -> None:
-        """A fault (or other attributable work) for *space* begins.
-
-        Unlike the recording verbs, attribution is *not* gated on the
-        registry: the frame arbiter charges residency per space even
-        while metrics are paused (the bench harness's timed repeats
-        must exercise the same grant accounting the instrumented pass
-        does).  The cost is one list append per fault.
-        """
+        """A fault (or other attributable work) for *space* begins;
+        the frame arbiter charges residency to the current task's
+        space.  The cost is one list append per fault."""
         self._tasks.append(space)
 
     def end_task(self) -> None:
@@ -329,8 +302,6 @@ class PressureBoard:
 
     def fault(self, space: int, write: bool) -> None:
         """One resolved fault in *space*."""
-        if not self.registry.enabled:
-            return
         acct = self.account(space)
         if write:
             acct.faults_write += 1
@@ -341,8 +312,6 @@ class PressureBoard:
 
     def pulled(self, pages: int) -> None:
         """*pages* pulled in on behalf of the current task's space."""
-        if not self.registry.enabled:
-            return
         space = self.current_space()
         if space is None:
             return
@@ -354,8 +323,6 @@ class PressureBoard:
     def pushed(self, pages: int) -> None:
         """*pages* pushed out on behalf of the current task's space
         (daemon/unattributed pushes only reach the global rollups)."""
-        if not self.registry.enabled:
-            return
         space = self.current_space()
         if space is None:
             return
@@ -366,8 +333,6 @@ class PressureBoard:
 
     def inflight_wait(self) -> None:
         """The current task joined another fault's in-flight pull."""
-        if not self.registry.enabled:
-            return
         space = self.current_space()
         if space is None:
             return
@@ -378,8 +343,6 @@ class PressureBoard:
     def eviction(self, suffered_spaces: Iterable[int]) -> None:
         """One page evicted: caused by the current task's space (if
         any), suffered by every space that had it mapped."""
-        if not self.registry.enabled:
-            return
         space = self.current_space()
         if space is not None:
             acct = self.account(space)
@@ -393,21 +356,13 @@ class PressureBoard:
     # -- stalls --------------------------------------------------------------
 
     def stall(self, kind: str):
-        """Bracket one blocking point (``with board.stall("pull"):``).
-
-        Returns the shared null scope while the registry is paused —
-        ``_StallScope.__enter__`` re-checks ``enabled`` anyway, this
-        just skips the allocation on the hot paused path."""
-        if not self.registry.enabled:
-            return _NULL_SCOPE
+        """Bracket one blocking point (``with board.stall("pull"):``)."""
         return _StallScope(self, kind)
 
     def note_stall(self, kind: str) -> None:
-        """A blocking point that cost no virtual time (the io queue's
-        overflow handoff executes charge-free byte work): count the
-        event without opening an interval."""
-        if not self.registry.enabled:
-            return
+        """A blocking point outside the memory-stall windows (the
+        admission gate's throttle: the task is parked, not stalled on
+        memory): count the event without opening an interval."""
         self.some.note()
         space = self.current_space()
         if space is not None:
@@ -463,24 +418,3 @@ class PressureBoard:
         return (f"PressureBoard({len(self.accounts)} spaces, "
                 f"some={self.some.total_ms:.3f}ms, "
                 f"full={self.full.total_ms:.3f}ms)")
-
-
-def extent_overlap_pages(extents: Iterable[Tuple[int, int]], offset: int,
-                         size: int, page_size: int) -> int:
-    """Pages of sorted, disjoint ``(offset, length)`` byte runs that
-    overlap the window ``[offset, offset + size)``.
-
-    Pure arithmetic over the extent lists
-    ``ResidencyIndex.resident_extents`` produces — the board's way of
-    answering per-space RSS without importing the cache subsystem.
-    """
-    end = offset + size
-    total = 0
-    for start, length in extents:
-        stop = start + length
-        if stop <= offset:
-            continue
-        if start >= end:
-            break
-        total += min(stop, end) - max(start, offset)
-    return total // page_size

@@ -5,8 +5,9 @@ of currently-cached real page descriptors, and the history-tree links:
 a sorted *parent* fragment list (where to find pages this cache lacks,
 section 4.2.4) and a sorted *guard* fragment list (which of this
 cache's fragments must preserve pre-images into a history object when
-written).  Guards are the mirror image of the child's parent links:
-together they form the history tree of section 4.2.
+written), each an :class:`~repro.extents.IntervalMap` of ``[offset,
+end) -> Link``.  Guards are the mirror image of the child's parent
+links: together they form the history tree of section 4.2.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.errors import StaleObject
+from repro.extents import IntervalMap
 from repro.gmi.interface import Cache, CopyPolicy
 from repro.gmi.types import CacheStatistics, Protection
-from repro.pvm.fragments import FragmentList
 from repro.pvm.page import RealPageDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,9 +63,9 @@ class PvmCache(Cache):
         #: probes, mutations funnel through the cache engine.
         self.pages: dict = pvm.residency.adopt(cache_id)
         #: where to find pages this cache does not hold (section 4.2.4).
-        self.parents: FragmentList[Link] = FragmentList()
+        self.parents = IntervalMap()
         #: fragments whose writes must push pre-images to a history object.
-        self.guards: FragmentList[Link] = FragmentList()
+        self.guards = IntervalMap()
         #: caches holding a parent link into this one (tree children).
         self.children: Set["PvmCache"] = set()
         #: per-virtual-page stubs whose source is this cache (either via
@@ -86,7 +87,7 @@ class PvmCache(Cache):
         self.owned: Set[int] = set()
         #: access caps applied by cache.setProtection (coherence control),
         #: fragment-granular.
-        self.prot_caps: FragmentList = FragmentList()
+        self.prot_caps = IntervalMap()
         self.stats = CacheStatistics()
 
     # -- guard helpers -----------------------------------------------------------
@@ -105,7 +106,7 @@ class PvmCache(Cache):
         object per fragment — this property returns the unique target
         when there is exactly one, else None.
         """
-        targets = {fragment.payload.cache for fragment in self.guards}
+        targets = {link.cache for link in self.guards.values()}
         if len(targets) == 1:
             return next(iter(targets))
         return None
@@ -191,8 +192,7 @@ class PvmCache(Cache):
 
     def resident_extents(self) -> List[tuple]:
         """Resident data as sorted, disjoint ``(offset, length)`` byte
-        runs, straight off the shared residency index's run-length set
-        — O(extents) regardless of how many pages are resident."""
+        runs, coalesced from the resident offsets on demand."""
         return self.pvm.residency.resident_extents(self.cache_id)
 
     def resident_page(self, offset: int) -> Optional[RealPageDescriptor]:
@@ -204,11 +204,11 @@ class PvmCache(Cache):
         chain: List["PvmCache"] = []
         cache, off = self, offset
         while True:
-            fragment = cache.parents.find(off)
-            if fragment is None:
+            hit = cache.parents.interval_at(off)
+            if hit is None:
                 return chain
-            link = fragment.payload
-            off = link.offset + (off - fragment.offset)
+            start, _, link = hit
+            off = link.offset + (off - start)
             cache = link.cache
             chain.append(cache)
 

@@ -86,8 +86,8 @@ class CacheOpsMixin:
                                 page_offset: int) -> RealPageDescriptor:
         """Resolve one page for explicit reading, honouring the
         copy-on-reference mode (any access materializes a private copy)."""
-        fragment = cache.parents.find(page_offset)
-        if (fragment is not None and fragment.payload.mode == "cor"
+        link = cache.parents.get(page_offset)
+        if (link is not None and link.mode == "cor"
                 and page_offset not in cache.owned
                 and page_offset not in cache.pages):
             return self._materialize_private(cache, page_offset)
@@ -278,9 +278,11 @@ class CacheOpsMixin:
                              protection: Protection) -> None:
         """Cap access rights of [offset, offset+size) (DSM control)."""
         with self.lock:
-            cache.prot_caps.remove_range(offset, size)
+            cache.prot_caps.cut(offset, offset + size)
             if protection != Protection.RWX:
-                cache.prot_caps.insert(offset, size, Cap(protection))
+                if size <= 0:
+                    raise InvalidOperation("fragment size must be positive")
+                cache.prot_caps.add(offset, offset + size, Cap(protection))
             hardware = protection.to_hardware()
             for page_offset in page_range(offset, size, self.page_size):
                 page = cache.pages.get(page_offset)
@@ -292,10 +294,10 @@ class CacheOpsMixin:
                     self.hw.downgrade_page(page)
 
     def _prot_cap_at(self, cache: PvmCache, offset: int) -> Protection:
-        fragment = cache.prot_caps.find(offset)
-        if fragment is None:
+        cap = cache.prot_caps.get(offset)
+        if cap is None:
             return Protection.RWX
-        return fragment.payload.protection
+        return cap.protection
 
     def cache_lock(self, cache: PvmCache, offset: int, size: int,
                    lock: bool) -> None:
@@ -383,7 +385,7 @@ class CacheOpsMixin:
                 batched
                 and self.global_map.lookup(cache, page_offset) is None
                 and (page_offset in cache.owned
-                     or cache.parents.find(page_offset) is None)
+                     or cache.parents.get(page_offset) is None)
             )
             if pullable:
                 if run_start is None:

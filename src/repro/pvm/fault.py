@@ -197,8 +197,8 @@ class FaultMixin:
             task.strategy = "write"
             return
         cache = task.cache
-        fragment = cache.parents.find(task.offset)
-        if (fragment is not None and fragment.payload.mode == "cor"
+        link = cache.parents.get(task.offset)
+        if (link is not None and link.mode == "cor"
                 and task.offset not in cache.owned
                 and task.offset not in cache.pages):
             # Copy-on-reference: any access materializes a private copy.
@@ -255,11 +255,11 @@ class FaultMixin:
     def _needs_guard_resolution(self, cache: PvmCache, offset: int) -> bool:
         """True while a write to (cache, offset) must still preserve the
         original value into the history object."""
-        fragment = cache.guards.find(offset)
-        if fragment is None:
+        hit = cache.guards.interval_at(offset)
+        if hit is None:
             return False
-        link = fragment.payload
-        history_offset = link.offset + (offset - fragment.offset)
+        start, _, link = hit
+        history_offset = link.offset + (offset - start)
         history = link.cache
         if history_offset in history.pages or history_offset in history.owned:
             return False

@@ -34,10 +34,10 @@ from repro.units import page_range
 
 
 def _merge_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Union of (offset, size) ranges as sorted disjoint ranges."""
+    """Union of ``[start, end)`` ranges as sorted disjoint ranges."""
     if not ranges:
         return []
-    spans = sorted((offset, offset + size) for offset, size in ranges)
+    spans = sorted(ranges)
     merged = [spans[0]]
     for start, end in spans[1:]:
         last_start, last_end = merged[-1]
@@ -45,7 +45,7 @@ def _merge_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
             merged[-1] = (last_start, max(last_end, end))
         else:
             merged.append((start, end))
-    return [(start, end - start) for start, end in merged]
+    return merged
 
 
 class HistoryMixin:
@@ -133,9 +133,7 @@ class HistoryMixin:
             if id(current) in seen:
                 continue
             seen.add(id(current))
-            stack.extend(
-                fragment.payload.cache for fragment in current.parents
-            )
+            stack.extend(link.cache for link in current.parents.values())
         return False
 
     # ------------------------------------------------------------------
@@ -148,7 +146,7 @@ class HistoryMixin:
         self.clock.charge(CostEvent.HISTORY_TREE_SETUP)
         self._prepare_destination(dst, dst_offset, size)
 
-        if src.guards.overlapping(src_offset, size):
+        if src.guards.overlapping(src_offset, src_offset + size):
             # Second (third, ...) copy from this source: splice a
             # working object between src and its present descendant
             # (Figure 3.c), so the shape invariant is preserved.
@@ -156,13 +154,13 @@ class HistoryMixin:
         else:
             # Simple case (Figure 3.a): the destination itself becomes
             # the history object of the source for this fragment.
-            src.guards.insert(src_offset, size,
-                              Link(dst, dst_offset))
+            src.guards.add(src_offset, src_offset + size,
+                           Link(dst, dst_offset))
             parent = src
 
         mode = "cor" if on_reference else "cow"
-        dst.parents.insert(dst_offset, size,
-                           Link(parent, src_offset, mode))
+        dst.parents.add(dst_offset, dst_offset + size,
+                        Link(parent, src_offset, mode))
         parent.children.add(dst)
 
         # Write-protect the source's resident pages of the fragment so
@@ -185,23 +183,24 @@ class HistoryMixin:
 
         # Children of src re-parent to w, fragment offsets unchanged.
         for child in list(src.children):
-            for fragment in child.parents:
-                link = fragment.payload
+            for start, end, link in child.parents.items():
                 if link.cache is src:
-                    fragment.payload = Link(working, link.offset, link.mode)
+                    child.parents.remove(start)
+                    child.parents.add(start, end,
+                                      Link(working, link.offset, link.mode))
             src.children.discard(child)
             working.children.add(child)
 
         # w reads through to src over the whole span it may be asked
         # about: the union of the old guard ranges and the new fragment.
-        ranges = [(fragment.offset, fragment.size) for fragment in src.guards]
-        ranges.append((src_offset, size))
+        ranges = [(start, end) for start, end, _ in src.guards.items()]
+        ranges.append((src_offset, src_offset + size))
         merged = _merge_ranges(ranges)
 
         src.guards.clear()
-        for offset, span in merged:
-            src.guards.insert(offset, span, Link(working, offset))
-            working.parents.insert(offset, span, Link(src, offset))
+        for start, end in merged:
+            src.guards.add(start, end, Link(working, start))
+            working.parents.add(start, end, Link(src, start))
         src.children.add(working)
         return working
 
@@ -235,7 +234,7 @@ class HistoryMixin:
                 if stub.src_page is None and stub.src_cache is dst \
                         and offset <= stub.src_offset < offset + self.page_size:
                     self._resolve_cow_stub_write(stub)
-            if dst.guards.find(offset) is not None:
+            if dst.guards.get(offset) is not None:
                 self._ensure_history_version(dst, offset)
             entry = self.global_map.lookup(dst, offset)
             if isinstance(entry, SyncStub):
@@ -249,23 +248,23 @@ class HistoryMixin:
                 self.global_map.discard(dst, offset)
             dst.owned.discard(offset)
 
-        removed = dst.parents.remove_range(dst_offset, size)
-        for fragment in removed:
+        removed = dst.parents.cut(dst_offset, dst_offset + size)
+        for start, end, link in removed:
             # Dissolve the mirror guard: if dst served as this parent's
             # history object over the removed span, the parent must stop
             # pushing pre-images there — dst's content is being replaced
             # and no longer preserves the parent's originals.
-            link = fragment.payload
             parent = link.cache
-            for guard in list(parent.guards.overlapping(link.offset,
-                                                        fragment.size)):
-                if guard.payload.cache is dst:
-                    start = max(guard.offset, link.offset)
-                    end = min(guard.end, link.offset + fragment.size)
-                    parent.guards.remove_range(start, end - start)
-        touched_parents = {fragment.payload.cache for fragment in removed}
+            link_end = link.offset + (end - start)
+            for guard_start, guard_end, guard in \
+                    parent.guards.overlapping(link.offset, link_end):
+                if guard.cache is dst:
+                    parent.guards.cut(max(guard_start, link.offset),
+                                      min(guard_end, link_end))
+        touched_parents = {link.cache for _, _, link in removed}
         for parent in touched_parents:
-            if not any(f.payload.cache is parent for f in dst.parents):
+            if not any(link.cache is parent
+                       for link in dst.parents.values()):
                 parent.children.discard(dst)
                 self._reap_if_dead(parent)
 
@@ -299,10 +298,10 @@ class HistoryMixin:
                     self.probe.observe("history.depth", hops,
                                        backend=self.name)
                 return entry
-            fragment = current.parents.find(current_offset)
-            if fragment is not None and current_offset not in current.owned:
-                link = fragment.payload
-                current_offset = link.offset + (current_offset - fragment.offset)
+            hit = current.parents.interval_at(current_offset)
+            if hit is not None and current_offset not in current.owned:
+                start, _, link = hit
+                current_offset = link.offset + (current_offset - start)
                 current = link.cache
                 hops += 1
                 self.clock.charge(self.LOOKUP_EVENT)
@@ -327,7 +326,7 @@ class HistoryMixin:
             if isinstance(entry, RealPageDescriptor):
                 if entry.cow_stubs:
                     self._break_stubs(entry)
-                if cache.guards.find(offset) is not None:
+                if cache.guards.get(offset) is not None:
                     self._ensure_history_version(cache, offset)
                 if not entry.write_granted:
                     cache.provider.get_write_access(cache, offset,
@@ -336,10 +335,10 @@ class HistoryMixin:
                 entry.dirty = True
                 entry.referenced = True
                 return entry
-            fragment = cache.parents.find(offset)
-            if fragment is not None and offset not in cache.owned:
+            if cache.parents.get(offset) is not None \
+                    and offset not in cache.owned:
                 page = self._materialize_private(cache, offset)
-                if cache.guards.find(offset) is not None:
+                if cache.guards.get(offset) is not None:
                     # 4.2.3's complication: the history object must also
                     # get its own copy (same original value).
                     self._ensure_history_version(cache, offset)
@@ -368,24 +367,24 @@ class HistoryMixin:
                                           ) -> RealPageDescriptor:
         """Current value of (cache, offset) via the parent chain,
         assuming the cache has no own version at that offset."""
-        fragment = cache.parents.find(offset)
-        if fragment is None:
+        hit = cache.parents.interval_at(offset)
+        if hit is None:
             raise InvalidOperation("no parent fragment to read through")
-        link = fragment.payload
+        start, _, link = hit
         self.clock.charge(self.LOOKUP_EVENT)
         return self._get_page_for_read(
-            link.cache, link.offset + (offset - fragment.offset)
+            link.cache, link.offset + (offset - start)
         )
 
     def _ensure_history_version(self, cache: PvmCache, offset: int) -> None:
         """Guarantee the history object holds the original value of
         (cache, offset), copying it there if it does not yet."""
-        fragment = cache.guards.find(offset)
-        if fragment is None:
+        hit = cache.guards.interval_at(offset)
+        if hit is None:
             return
-        link = fragment.payload
+        start, _, link = hit
         history = link.cache
-        history_offset = link.offset + (offset - fragment.offset)
+        history_offset = link.offset + (offset - start)
         if history_offset in history.pages or history_offset in history.owned:
             return
         # Skip as well when a stub marks the slot as occupied/in transit.
@@ -446,7 +445,7 @@ class HistoryMixin:
             dst_page_offset = dst_offset + index * self.page_size
             page = src.pages.get(offset)
             if page is not None and not page.cow_stubs and not page.pinned \
-                    and src.guards.find(offset) is None:
+                    and src.guards.get(offset) is None:
                 # Re-assign the frame: no data movement at all.
                 self.hw.shootdown(page)
                 src.owned.discard(offset)
@@ -472,7 +471,7 @@ class HistoryMixin:
                 if stub.src_page is None and stub.src_cache is src \
                         and stub.src_offset == page_offset:
                     self._resolve_cow_stub_write(stub)
-            if src.guards.find(page_offset) is not None:
+            if src.guards.get(page_offset) is not None:
                 self._ensure_history_version(src, page_offset)
             page = src.pages.get(page_offset)
             if page is not None and not page.pinned:
@@ -498,8 +497,8 @@ class HistoryMixin:
             progress = True
             while progress:
                 progress = False
-                for fragment in list(cache.parents):
-                    parent = fragment.payload.cache
+                for link in cache.parents.values():
+                    parent = link.cache
                     if not parent.dead or len(parent.children) != 1:
                         continue
                     moved += self._merge_dead_parent(cache, parent)
@@ -517,13 +516,12 @@ class HistoryMixin:
         """
         moved = 0
         fragments = [
-            fragment for fragment in cache.parents
-            if fragment.payload.cache is parent
+            (start, end, link) for start, end, link in cache.parents.items()
+            if link.cache is parent
         ]
-        for fragment in fragments:
-            link = fragment.payload
-            for index in range(0, fragment.size, self.page_size):
-                child_offset = fragment.offset + index
+        for start, end, link in fragments:
+            for index in range(0, end - start, self.page_size):
+                child_offset = start + index
                 parent_offset = link.offset + index
                 if (child_offset in cache.pages
                         or child_offset in cache.owned):
@@ -555,26 +553,23 @@ class HistoryMixin:
         # Splice: the child inherits the parent's own parent links over
         # each merged fragment's span, with composed offsets.
         splices = []
-        for fragment in fragments:
-            link = fragment.payload
-            for sub in parent.parents.overlapping(link.offset, fragment.size):
-                start = max(sub.offset, link.offset)
-                end = min(sub.end, link.offset + fragment.size)
-                if start >= end:
-                    continue
-                grand = sub.payload
+        for start, end, link in fragments:
+            link_end = link.offset + (end - start)
+            for sub_start, sub_end, grand in \
+                    parent.parents.overlapping(link.offset, link_end):
+                lo = max(sub_start, link.offset)
+                hi = min(sub_end, link_end)
                 splices.append((
-                    fragment.offset + (start - link.offset),
-                    end - start,
-                    Link(grand.cache,
-                         grand.offset + (start - sub.offset),
+                    start + (lo - link.offset),
+                    start + (hi - link.offset),
+                    Link(grand.cache, grand.offset + (lo - sub_start),
                          link.mode),
                 ))
 
-        for fragment in fragments:
-            cache.parents.remove_range(fragment.offset, fragment.size)
-        for offset, span, new_link in splices:
-            cache.parents.insert(offset, span, new_link)
+        for start, end, _ in fragments:
+            cache.parents.cut(start, end)
+        for start, end, new_link in splices:
+            cache.parents.add(start, end, new_link)
             new_link.cache.children.add(cache)
 
         parent.children.discard(cache)

@@ -10,7 +10,8 @@ in use, never on the size of segments or address spaces.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from bisect import bisect_left
+from typing import Dict, List, Optional
 
 from repro.cache.engine import CacheEngine
 from repro.cache.eviction import EvictionPolicy
@@ -24,7 +25,7 @@ from repro.gmi.types import Protection
 from repro.cache.provider import SegmentProvider, ZeroFillProvider
 from repro.kernel.clock import CostEvent, VirtualClock
 from repro.kernel.sync import HostSync, NullSync
-from repro.obs import PressureBoard, Probe, extent_overlap_pages
+from repro.obs import PressureBoard, Probe
 from repro.pvm.cache import PvmCache
 from repro.pvm.cacheops import CacheOpsMixin
 from repro.pvm.context import PvmContext
@@ -211,20 +212,20 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
         board = self.pressure
         if not board.registry.enabled:
             return
-        page_size = self.page_size
-        extents_of: Dict[int, list] = {}
+        offsets_of: Dict[int, List[int]] = {}
         for context in self._space_contexts.values():
             space = context.space
             resident = 0
             mapped = 0
             for region in context.regions:
                 cache_id = region.cache.cache_id
-                extents = extents_of.get(cache_id)
-                if extents is None:
-                    extents = extents_of[cache_id] = \
-                        self.residency.resident_extents(cache_id)
-                resident += extent_overlap_pages(extents, region.offset,
-                                                 region.size, page_size)
+                offsets = offsets_of.get(cache_id)
+                if offsets is None:
+                    offsets = offsets_of[cache_id] = \
+                        sorted(self.residency.pages_of(cache_id))
+                resident += (
+                    bisect_left(offsets, region.offset + region.size)
+                    - bisect_left(offsets, region.offset))
                 mapped += self.hw.resident_count(space, region.address,
                                                  region.size)
             board.set_residency(space, resident, mapped)
@@ -447,14 +448,14 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
             stub.unthread()
             self.global_map.discard(cache, stub.offset)
 
-        parents = {fragment.payload.cache for fragment in cache.parents}
+        parents = {link.cache for link in cache.parents.values()}
         cache.parents.clear()
         cache.owned.clear()
         for parent in parents:
             parent.children.discard(cache)
             # A source whose history object dies no longer needs to
             # preserve pre-images for it.
-            parent.guards.remove_if(lambda link: link.cache is cache)
+            parent.guards.retain(lambda link: link.cache is not cache)
             self._reap_if_dead(parent)
         cache.guards.clear()
         cache.destroyed = True

@@ -28,11 +28,11 @@ Nine rules keep the stack honest — the same discipline the paper's
    the only ``repro.*`` packages they may import are ``repro.cache``,
    ``repro.segments`` itself, ``repro.errors``, ``repro.units`` and
    ``repro.kernel`` (cost accounting).
-5. **Extent primitives are a leaf.**  ``repro.extents`` (run-length
-   sets, interval maps, translation runs) is shared by layers that may
-   not import each other — contexts, the MMU ports, the residency
-   index — so it must import neither backends nor ``repro.hardware``
-   nor ``repro.cache``.
+5. **Extent primitives are a leaf.**  ``repro.extents`` (interval
+   maps, translation runs) is shared by layers that may not import
+   each other — contexts, cache descriptors, the MMU ports, the
+   in-flight table — so it must import neither backends nor
+   ``repro.hardware`` nor ``repro.cache``.
 6. **The I/O scheduler is engine-internal.**  ``repro.engine.io``
    imports no backend and no hardware (sharpened rule 2: the scheduler
    moves bytes for any mapper without knowing who owns them), and no
@@ -43,9 +43,8 @@ Nine rules keep the stack honest — the same discipline the paper's
 7. **The pressure board is arithmetic over primitives.**
    ``repro.obs.pressure`` (per-space ledgers, PSI stall windows) must
    not import ``repro.cache`` on top of rule 3's backend/hardware ban:
-   callers hand it space ids, page counts and extent tuples, never
-   kernel objects — which is what lets any manager (or a bare test)
-   host a board.
+   callers hand it space ids and page counts, never kernel objects —
+   which is what lets any manager (or a bare test) host a board.
 8. **Pressure policy decides, it does not reach down.**
    ``repro.pressure`` (the frame arbiter, working-set estimator,
    balancer daemon and admission controller) imports neither backends

@@ -24,7 +24,7 @@ def _roots_of(cache: PvmCache) -> List[PvmCache]:
         if id(current) in seen:
             continue
         seen.add(id(current))
-        parents = {fragment.payload.cache for fragment in current.parents}
+        parents = {link.cache for link in current.parents.values()}
         if not parents:
             roots.append(current)
         else:
@@ -43,9 +43,9 @@ def _describe(cache: PvmCache, page_size: int) -> str:
     pages = ",".join(str(offset // page_size)
                      for offset in sorted(cache.pages)) or "-"
     guards = ";".join(
-        f"[{f.offset // page_size}..{(f.end - 1) // page_size}]"
-        f"->{f.payload.cache.name}"
-        for f in cache.guards) or "-"
+        f"[{start // page_size}..{(end - 1) // page_size}]"
+        f"->{link.cache.name}"
+        for start, end, link in cache.guards.items()) or "-"
     tag = f" ({' '.join(flags)})" if flags else ""
     return (f"{cache.name}{tag}  pages:{{{pages}}}  guards:{guards}")
 

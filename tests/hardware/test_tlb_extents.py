@@ -1,10 +1,7 @@
-"""Extent-granular TLB behaviour (PR 6).
+"""Extent-granular TLB shootdown.
 
 ``invalidate_range`` must drop exactly the live entries the per-page
-batch would (same shootdown counts) while costing O(min(count, live));
-opt-in run entries (``run_entries > 0``) translate whole contiguous
-runs, are conservatively dropped on any overlapping invalidation, and
-never change page-granular behaviour when disabled.
+batch would (same shootdown counts) while costing O(min(count, live)).
 """
 
 from repro.hardware.mmu import Mapping, Prot
@@ -57,47 +54,3 @@ class TestInvalidateRange:
         _fill(tlb, 1, [2, 3])
         tlb.flush_space(1)               # entries become stale, lazily
         assert tlb.invalidate_range(1, 0, 10) == 0
-
-
-class TestRunEntries:
-    def test_run_probe_translates_whole_extent(self):
-        tlb = TLB(4, run_entries=4)
-        tlb.fill_run(1, 100, 50, 7, Prot.RW)
-        hit = tlb.probe(1, 120)
-        assert hit is not None and hit.frame == 7 + 20
-        assert tlb.stats.get("run_hit") == 1
-        assert tlb.probe(1, 150) is None           # one past the run
-
-    def test_overlapping_invalidation_drops_whole_run(self):
-        tlb = TLB(4, run_entries=4)
-        tlb.fill_run(1, 0, 10, 0, Prot.RW)
-        tlb.invalidate(1, 5)                       # conservative drop
-        assert tlb.probe(1, 2) is None
-        assert tlb.run_occupancy == 0
-
-    def test_fifo_eviction_counts(self):
-        tlb = TLB(4, run_entries=2)
-        tlb.fill_run(1, 0, 4, 0, Prot.RW)
-        tlb.fill_run(1, 10, 4, 10, Prot.RW)
-        tlb.fill_run(1, 20, 4, 20, Prot.RW)        # evicts the first
-        assert tlb.run_occupancy == 2
-        assert tlb.stats.get("run_evict") == 1
-        assert tlb.probe(1, 1) is None
-        assert tlb.probe(1, 21) is not None
-
-    def test_disabled_by_default(self):
-        tlb = TLB(4)
-        tlb.fill_run(1, 0, 4, 0, Prot.RW)          # no-op
-        assert tlb.run_occupancy == 0
-        assert tlb.probe(1, 1) is None
-        assert tlb.stats.get("run_hit") == 0
-
-    def test_flush_space_and_flush_drop_runs(self):
-        tlb = TLB(4, run_entries=4)
-        tlb.fill_run(1, 0, 4, 0, Prot.RW)
-        tlb.fill_run(2, 0, 4, 9, Prot.RW)
-        tlb.flush_space(1)
-        assert tlb.probe(1, 1) is None
-        assert tlb.probe(2, 1) is not None
-        tlb.flush()
-        assert tlb.run_occupancy == 0

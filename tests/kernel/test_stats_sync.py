@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.kernel.stats import EventCounter
+from repro.obs.metrics import EventCounter
 from repro.kernel.sync import NullSync, ThreadedSync
 
 

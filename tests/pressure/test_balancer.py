@@ -234,3 +234,25 @@ class TestPublication:
         gauges = vm.metrics_snapshot()["gauges"]
         assert not any(name.startswith(("balancer.", "ws.", "throttle."))
                        for name in gauges)
+
+
+class TestRegistryPause:
+    def test_paused_registry_storm_matches_enabled_run(self):
+        """Pausing metrics must not change pressure policy: the
+        ``tenant_storm`` cell suspends the same spaces, ends on the
+        same grants and takes the same virtual time either way."""
+        from repro.workloads.cells import (
+            _tenant_storm_body, _tenant_storm_setup,
+        )
+        runs = []
+        for enabled in (True, False):
+            state = _tenant_storm_setup("pvm")
+            vm = state["vm"]
+            vm.probe.registry.enabled = enabled
+            start = state["clock"].now()
+            _tenant_storm_body(state)
+            runs.append((vm.arbiter.qos.suspensions,
+                         dict(vm.arbiter.grants),
+                         state["clock"].now() - start))
+        assert runs[0][0] > 0
+        assert runs[1] == runs[0]

@@ -12,7 +12,7 @@ ever disagree with copy semantics, this machine finds the sequence.
 """
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
@@ -22,6 +22,7 @@ from repro.gmi.types import Protection
 from repro.cache.provider import ZeroFillProvider
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
+from tests.property import scaled_settings
 
 PAGE = 8 * KB
 SEGMENT_PAGES = 6
@@ -220,17 +221,8 @@ class RealTimeCowMachine(CowMachine):
     ram_frames = NUM_CACHES * SEGMENT_PAGES + 4
 
 
-def _scaled(examples, steps):
-    """Explicit settings override a loaded profile, so scale the
-    example count with it: the default profile (100 examples) keeps
-    *examples*, ``--hypothesis-profile=ci`` multiplies it by ten."""
-    scale = settings.default.max_examples / 100
-    return settings(max_examples=max(1, round(examples * scale)),
-                    stateful_step_count=steps, deadline=None)
-
-
-_SETTINGS = _scaled(60, 40)
-_QUICK = _scaled(25, 30)
+_SETTINGS = scaled_settings(60, 40)
+_QUICK = scaled_settings(25, 30)
 
 TestCowModel = CowMachine.TestCase
 TestCowModel.settings = _SETTINGS

@@ -1,29 +1,35 @@
 """Extent representations vs flat per-page reference models.
 
-PR 6 moved the address-space representation from per-page to extent
-form: the context's region map became an interval map, and the paged
-MMU's tables became run-length translation runs.  These state machines
+The address space is held in extent form: the context's region map and
+a cache's parent/guard fragment lists are interval maps, and the paged
+MMU's tables are run-length translation runs.  These state machines
 drive random map/unmap/split/protect/destroy interleavings against
 trivially-correct flat models (a dict per page, a dict per region) and
 check that every query — point lookup, range query, size, table and
 run counts — agrees after every step.  If run splicing, coalescing,
-boundary trimming or the O(1) counters ever drift from the per-page
-truth, these machines find the sequence.
+boundary trimming, the re-basing of split fragments or the O(1)
+counters ever drift from the per-page truth, these machines find the
+sequence.
+
+The example counts scale with the loaded hypothesis profile
+(``--hypothesis-profile=ci`` runs ten times as many).
 """
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, precondition, rule,
 )
 
 from repro.errors import InvalidOperation
+from repro.extents import IntervalMap
 from repro.gmi.types import Protection
 from repro.cache.provider import ZeroFillProvider
 from repro.hardware.paged_mmu import TABLE_BITS, PagedMMU
 from repro.hardware.mmu import Prot
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB
+from tests.property import scaled_settings
 
 PAGE = 4 * KB
 
@@ -148,8 +154,7 @@ class PageTableMachine(RuleBasedStateMachine):
 
 
 TestPageTableModel = PageTableMachine.TestCase
-TestPageTableModel.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None)
+TestPageTableModel.settings = scaled_settings(40, 30)
 
 
 # -- region map vs flat region set -------------------------------------------------
@@ -243,5 +248,98 @@ class RegionMapMachine(RuleBasedStateMachine):
 
 
 TestRegionMapModel = RegionMapMachine.TestCase
-TestRegionMapModel.settings = settings(
-    max_examples=40, stateful_step_count=30, deadline=None)
+TestRegionMapModel.settings = scaled_settings(40, 30)
+
+
+# -- fragment list vs flat per-offset links -------------------------------------
+
+#: Small offset universe so fragments split, abut and collide often.
+POINTS = 48
+
+points = st.integers(0, POINTS - 1)
+sizes = st.integers(1, 12)
+tags = st.sampled_from("abc")
+
+
+class Target:
+    """A link payload: which tree node, and where in it a fragment's
+    first offset lands."""
+
+    def __init__(self, tag, offset):
+        self.tag = tag
+        self.offset = offset
+
+    def shifted(self, delta):
+        return Target(self.tag, self.offset + delta)
+
+
+def _flatten(items):
+    """Per-point ``(tag, target offset)`` view of interval triples."""
+    return {point: (value.tag, value.offset + (point - start))
+            for start, end, value in items
+            for point in range(start, end)}
+
+
+class FragmentMapMachine(RuleBasedStateMachine):
+    """A fragment list (section 4.2.4) under insert, splitting removal
+    and value filtering vs one ``(tag, target)`` entry per offset."""
+
+    @initialize()
+    def setup(self):
+        self.fragments = IntervalMap()
+        self.model = {}
+
+    @rule(start=points, size=sizes, tag=tags, offset=st.integers(0, 99))
+    def add(self, start, size, tag, offset):
+        span = range(start, start + size)
+        if any(point in self.model for point in span):
+            with pytest.raises(ValueError):
+                self.fragments.add(start, start + size, Target(tag, offset))
+            return
+        self.fragments.add(start, start + size, Target(tag, offset))
+        for point in span:
+            self.model[point] = (tag, offset + (point - start))
+
+    @rule(start=points, size=sizes)
+    def cut(self, start, size):
+        removed = self.fragments.cut(start, start + size)
+        expected = {point: self.model.pop(point)
+                    for point in range(start, start + size)
+                    if point in self.model}
+        assert _flatten(removed) == expected
+        bounds = [(lo, hi) for lo, hi, _ in removed]
+        assert bounds == sorted(bounds)
+        assert all(start <= lo < hi <= start + size for lo, hi in bounds)
+
+    @rule(tag=tags)
+    def retain(self, tag):
+        before = len(self.fragments)
+        tagged = sum(1 for value in self.fragments.values()
+                     if value.tag == tag)
+        assert self.fragments.retain(lambda value: value.tag != tag) \
+            == tagged
+        assert len(self.fragments) == before - tagged
+        self.model = {point: link for point, link in self.model.items()
+                      if link[0] != tag}
+
+    @invariant()
+    def per_point_view_agrees(self):
+        items = self.fragments.items()
+        assert _flatten(items) == self.model
+        for (_, left_end, _), (right_start, _, _) in zip(items, items[1:]):
+            assert left_end <= right_start
+
+    @invariant()
+    def point_lookups_agree(self):
+        for point in range(POINTS + 12):
+            hit = self.fragments.interval_at(point)
+            if point not in self.model:
+                assert hit is None
+            else:
+                start, _, value = hit
+                assert (value.tag, value.offset + (point - start)) == \
+                    self.model[point]
+
+
+TestFragmentMapModel = FragmentMapMachine.TestCase
+TestFragmentMapModel.settings = scaled_settings(40, 30)

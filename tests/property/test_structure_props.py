@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.pvm.fragments import FragmentList
+from repro.extents import IntervalMap
 from repro.units import (
     page_ceil, page_floor, page_index, page_offset, page_range,
     pages_spanned,
@@ -30,27 +30,30 @@ ranges = st.tuples(st.integers(0, 1000), st.integers(1, 200))
 
 
 def build(batch):
-    """Insert what fits; return (FragmentList, accepted list)."""
-    fragments = FragmentList()
+    """Insert what fits; return (IntervalMap, accepted list)."""
+    fragments = IntervalMap()
     accepted = []
     for offset, size in batch:
         if any(offset < o + s and o < offset + size for o, s in accepted):
             continue
-        fragments.insert(offset, size, ShiftPayload(offset))
+        fragments.add(offset, offset + size, ShiftPayload(offset))
         accepted.append((offset, size))
     return fragments, accepted
 
 
 class TestFragmentListProperties:
+    """The section 4.2.4 fragment list (an IntervalMap of links)."""
+
     @given(fragment_batches)
     @settings(max_examples=200, deadline=None)
     def test_sorted_and_disjoint(self, batch):
         fragments, accepted = build(batch)
-        items = list(fragments)
-        offsets = [fragment.offset for fragment in items]
-        assert offsets == sorted(offsets)
+        items = fragments.items()
+        assert len(items) == len(accepted)
+        starts = [start for start, _, _ in items]
+        assert starts == sorted(starts)
         for left, right in zip(items, items[1:]):
-            assert left.end <= right.offset
+            assert left[1] <= right[0]
 
     @given(fragment_batches, st.integers(0, 1100))
     @settings(max_examples=200, deadline=None)
@@ -58,11 +61,11 @@ class TestFragmentListProperties:
         fragments, accepted = build(batch)
         naive = next(
             ((o, s) for o, s in accepted if o <= probe < o + s), None)
-        found = fragments.find(probe)
+        found = fragments.interval_at(probe)
         if naive is None:
             assert found is None
         else:
-            assert (found.offset, found.size) == naive
+            assert (found[0], found[1] - found[0]) == naive
 
     @given(fragment_batches, ranges)
     @settings(max_examples=200, deadline=None)
@@ -74,35 +77,40 @@ class TestFragmentListProperties:
             for point in range(offset, offset + size)
         }
         cut_offset, cut_size = cut
-        fragments.remove_range(cut_offset, cut_size)
+        removed = fragments.cut(cut_offset, cut_offset + cut_size)
         covered_after = {
             point
-            for fragment in fragments
-            for point in range(fragment.offset, fragment.end)
+            for start, end, _ in fragments.items()
+            for point in range(start, end)
         }
         cut_points = set(range(cut_offset, cut_offset + cut_size))
         assert covered_after == covered_before - cut_points
+        assert {point for start, end, _ in removed
+                for point in range(start, end)} == \
+            covered_before & cut_points
 
     @given(fragment_batches, ranges)
     @settings(max_examples=200, deadline=None)
     def test_split_payloads_keep_absolute_base(self, batch, cut):
-        """After any removal, payload.base + 0 == fragment.offset's
-        original absolute position: lookups through split fragments
-        still target the right parent offsets."""
+        """After any removal, every piece's payload base equals its
+        start — kept pieces and cut-out pieces alike — so lookups
+        through split fragments still target the right parent
+        offsets."""
         fragments, _ = build(batch)
-        fragments.remove_range(*cut)
-        for fragment in fragments:
-            assert fragment.payload.base == fragment.offset
+        offset, size = cut
+        removed = fragments.cut(offset, offset + size)
+        for start, _, payload in fragments.items() + removed:
+            assert payload.base == start
 
     @given(fragment_batches, ranges)
     @settings(max_examples=100, deadline=None)
     def test_overlapping_agrees_with_find(self, batch, probe_range):
         fragments, _ = build(batch)
         offset, size = probe_range
-        hits = fragments.overlapping(offset, size)
-        for fragment in fragments:
-            expected = fragment.overlaps(offset, size)
-            assert (fragment in hits) == expected
+        hits = fragments.overlapping(offset, offset + size)
+        for item in fragments.items():
+            expected = offset < item[1] and item[0] < offset + size
+            assert (item in hits) == expected
 
 
 class TestPageArithmetic:

@@ -1,9 +1,10 @@
-"""Unit tests for the fragment-list structure (section 4.2.4)."""
+"""The sorted fragment list of section 4.2.4 — a cache's parent, guard
+and protection-cap links — held in an :class:`IntervalMap`: insertion,
+lookup, and the splitting removal that re-bases cut pieces."""
 
 import pytest
 
-from repro.errors import InvalidOperation
-from repro.pvm.fragments import Fragment, FragmentList
+from repro.extents import IntervalMap
 
 
 class Payload:
@@ -23,128 +24,126 @@ class Payload:
         return f"Payload({self.tag}, {self.base})"
 
 
+def spans(fragments):
+    return [(start, end) for start, end, _ in fragments.items()]
+
+
 class TestInsert:
     def test_insert_and_find(self):
-        fragments = FragmentList()
-        fragments.insert(100, 50, Payload("a"))
-        found = fragments.find(120)
-        assert found is not None and found.payload.tag == "a"
+        fragments = IntervalMap()
+        fragments.add(100, 150, Payload("a"))
+        found = fragments.interval_at(120)
+        assert found is not None and found[2].tag == "a"
 
     def test_find_misses_outside(self):
-        fragments = FragmentList()
-        fragments.insert(100, 50, Payload("a"))
-        assert fragments.find(99) is None
-        assert fragments.find(150) is None          # end-exclusive
+        fragments = IntervalMap()
+        fragments.add(100, 150, Payload("a"))
+        assert fragments.interval_at(99) is None
+        assert fragments.interval_at(150) is None   # end-exclusive
 
     def test_sorted_order(self):
-        fragments = FragmentList()
-        fragments.insert(200, 10, Payload("b"))
-        fragments.insert(100, 10, Payload("a"))
-        fragments.insert(300, 10, Payload("c"))
-        assert [f.payload.tag for f in fragments] == ["a", "b", "c"]
+        fragments = IntervalMap()
+        fragments.add(200, 210, Payload("b"))
+        fragments.add(100, 110, Payload("a"))
+        fragments.add(300, 310, Payload("c"))
+        assert [p.tag for p in fragments.values()] == ["a", "b", "c"]
 
     def test_overlap_with_predecessor_rejected(self):
-        fragments = FragmentList()
-        fragments.insert(100, 50, Payload("a"))
-        with pytest.raises(InvalidOperation):
-            fragments.insert(149, 10, Payload("b"))
+        fragments = IntervalMap()
+        fragments.add(100, 150, Payload("a"))
+        with pytest.raises(ValueError):
+            fragments.add(149, 159, Payload("b"))
 
     def test_overlap_with_successor_rejected(self):
-        fragments = FragmentList()
-        fragments.insert(100, 50, Payload("a"))
-        with pytest.raises(InvalidOperation):
-            fragments.insert(60, 41, Payload("b"))
+        fragments = IntervalMap()
+        fragments.add(100, 150, Payload("a"))
+        with pytest.raises(ValueError):
+            fragments.add(60, 101, Payload("b"))
 
     def test_adjacent_fragments_allowed(self):
-        fragments = FragmentList()
-        fragments.insert(100, 50, Payload("a"))
-        fragments.insert(150, 50, Payload("b"))
+        fragments = IntervalMap()
+        fragments.add(100, 150, Payload("a"))
+        fragments.add(150, 200, Payload("b"))
         assert len(fragments) == 2
 
     def test_zero_size_rejected(self):
-        with pytest.raises(InvalidOperation):
-            FragmentList().insert(0, 0, Payload("a"))
+        with pytest.raises(ValueError):
+            IntervalMap().add(0, 0, Payload("a"))
 
 
 class TestOverlapping:
     def test_overlapping_selection(self):
-        fragments = FragmentList()
-        fragments.insert(0, 10, Payload("a"))
-        fragments.insert(20, 10, Payload("b"))
-        fragments.insert(40, 10, Payload("c"))
-        hits = fragments.overlapping(5, 30)          # [5, 35)
-        assert [f.payload.tag for f in hits] == ["a", "b"]
+        fragments = IntervalMap()
+        fragments.add(0, 10, Payload("a"))
+        fragments.add(20, 30, Payload("b"))
+        fragments.add(40, 50, Payload("c"))
+        hits = fragments.overlapping(5, 35)
+        assert [p.tag for _, _, p in hits] == ["a", "b"]
 
     def test_overlapping_empty(self):
-        fragments = FragmentList()
-        fragments.insert(0, 10, Payload("a"))
-        assert fragments.overlapping(10, 5) == []
+        fragments = IntervalMap()
+        fragments.add(0, 10, Payload("a"))
+        assert fragments.overlapping(10, 15) == []
 
 
 class TestRemoveRange:
     def test_exact_removal(self):
-        fragments = FragmentList()
-        fragments.insert(100, 50, Payload("a"))
-        removed = fragments.remove_range(100, 50)
+        fragments = IntervalMap()
+        fragments.add(100, 150, Payload("a"))
+        removed = fragments.cut(100, 150)
         assert len(fragments) == 0
-        assert removed[0].offset == 100 and removed[0].size == 50
+        assert removed == [(100, 150, Payload("a"))]
 
     def test_split_middle(self):
-        fragments = FragmentList()
-        fragments.insert(0, 100, Payload("a"))
-        removed = fragments.remove_range(40, 20)
-        assert [(f.offset, f.size) for f in fragments] == [(0, 40), (60, 40)]
+        fragments = IntervalMap()
+        fragments.add(0, 100, Payload("a"))
+        removed = fragments.cut(40, 60)
+        assert spans(fragments) == [(0, 40), (60, 100)]
         # The tail keeps a payload shifted by its distance from the
         # original start, so (offset -> target) mapping stays correct.
-        tail = fragments.find(60)
-        assert tail.payload.base == 60
-        assert removed[0].payload.base == 40
+        assert fragments.get(60).base == 60
+        assert fragments.get(0).base == 0
+        assert removed == [(40, 60, Payload("a", 40))]
 
     def test_split_head(self):
-        fragments = FragmentList()
-        fragments.insert(0, 100, Payload("a"))
-        fragments.remove_range(0, 30)
-        remaining = list(fragments)[0]
-        assert (remaining.offset, remaining.size) == (30, 70)
-        assert remaining.payload.base == 30
+        fragments = IntervalMap()
+        fragments.add(0, 100, Payload("a"))
+        fragments.cut(0, 30)
+        assert fragments.items() == [(30, 100, Payload("a", 30))]
 
     def test_remove_spanning_multiple(self):
-        fragments = FragmentList()
-        fragments.insert(0, 10, Payload("a"))
-        fragments.insert(10, 10, Payload("b"))
-        fragments.insert(20, 10, Payload("c"))
-        removed = fragments.remove_range(5, 20)
-        assert [(f.offset, f.size) for f in fragments] == [(0, 5), (25, 5)]
-        assert len(removed) == 3
+        fragments = IntervalMap()
+        fragments.add(0, 10, Payload("a"))
+        fragments.add(10, 20, Payload("b"))
+        fragments.add(20, 30, Payload("c"))
+        removed = fragments.cut(5, 25)
+        assert spans(fragments) == [(0, 5), (25, 30)]
+        assert removed == [(5, 10, Payload("a", 5)), (10, 20, Payload("b")),
+                           (20, 25, Payload("c"))]
 
     def test_remove_untouched(self):
-        fragments = FragmentList()
-        fragments.insert(0, 10, Payload("a"))
-        assert fragments.remove_range(50, 10) == []
+        fragments = IntervalMap()
+        fragments.add(0, 10, Payload("a"))
+        assert fragments.cut(50, 60) == []
+        assert fragments.cut(5, 5) == []
         assert len(fragments) == 1
 
 
 class TestMisc:
     def test_remove_if(self):
-        fragments = FragmentList()
-        fragments.insert(0, 10, Payload("a"))
-        fragments.insert(10, 10, Payload("b"))
-        assert fragments.remove_if(lambda p: p.tag == "a") == 1
-        assert [f.payload.tag for f in fragments] == ["b"]
-
-    def test_replace_payloads(self):
-        fragments = FragmentList()
-        fragments.insert(0, 10, Payload("a"))
-        fragments.insert(10, 10, Payload("a"))
-        count = fragments.replace_payloads(
-            Payload("a"), lambda f: Payload("z", f.offset))
-        assert count == 2
-        assert all(f.payload.tag == "z" for f in fragments)
+        fragments = IntervalMap()
+        fragments.add(0, 10, Payload("a"))
+        fragments.add(10, 20, Payload("b"))
+        fragments.add(20, 30, Payload("a"))
+        assert fragments.retain(lambda p: p.tag != "a") == 2
+        assert fragments.items() == [(10, 20, Payload("b"))]
+        assert fragments.retain(lambda p: True) == 0
+        assert fragments.interval_at(15) == (10, 20, Payload("b"))
 
     def test_bool_and_clear(self):
-        fragments = FragmentList()
+        fragments = IntervalMap()
         assert not fragments
-        fragments.insert(0, 10, Payload("a"))
+        fragments.add(0, 10, Payload("a"))
         assert fragments
         fragments.clear()
         assert not fragments

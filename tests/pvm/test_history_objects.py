@@ -200,7 +200,7 @@ class TestCyclePrevention:
         # Copying child data back into the parent must not build a cycle.
         dst.copy(0, src, 0, PAGE, policy=CopyPolicy.HISTORY)
         assert src.read(0, 12) == b"child result"
-        assert not dst.parents.find(0) is None     # original link intact
+        assert dst.parents.get(0) is not None      # original link intact
         assert src.read(PAGE, 1) == bytes([2])
 
     def test_self_copy_rejected_for_history(self, pvm, make):

@@ -295,7 +295,7 @@ class TestDetectsViolations:
                 "from repro.errors import InvalidOperation\n"
                 "from repro.fastpath import get_numpy\n"
                 "from repro.hardware.mmu import MMU\n"
-                "from repro.kernel.stats import EventCounter\n"
+                "from repro.kernel import EventCounter\n"
                 "from repro.extents import RunMap\n"
             ),
         })

@@ -4,12 +4,13 @@ and the ``repro top`` view.
 Three contracts under test:
 
 * **arithmetic** — :class:`StallWindow` merges nested/overlapping
-  stalls, windows prune, averages clamp; ``extent_overlap_pages`` is
-  exact on the extent lists the residency index produces;
+  stalls, windows prune, averages clamp; the per-space residency
+  gauge counts exactly the resident pages under each region's window;
 * **attribution** — faults, pulls, pushes and evictions land on the
   right :class:`SpaceAccount`; a destroyed space's series leave the
   registry like any PR-3 drop (rollups adjusted, generation bumped,
-  a recycled id starts zeroed); a paused registry allocates nothing;
+  a recycled id starts zeroed); a paused registry writes no series
+  but the ledgers the balancer reads keep counting;
 * **determinism** — the board reads the virtual clock but never
   charges it, so running with accounting on cannot move virtual time.
 """
@@ -20,7 +21,6 @@ from repro.gmi.types import Protection
 from repro.cache.provider import ZeroFillProvider
 from repro.obs import (
     MetricsRegistry, PressureBoard, SpaceAccount, StallWindow,
-    extent_overlap_pages,
 )
 from repro.pvm import PagedVirtualMemory
 from repro.units import KB, MB
@@ -99,11 +99,34 @@ class TestStallWindow:
 
 class TestExtentOverlap:
     def test_exact_overlap_arithmetic(self):
-        extents = [(0, 2 * PAGE), (4 * PAGE, PAGE)]
-        assert extent_overlap_pages(extents, 0, 8 * PAGE, PAGE) == 3
-        assert extent_overlap_pages(extents, PAGE, PAGE, PAGE) == 1
-        assert extent_overlap_pages(extents, 5 * PAGE, PAGE, PAGE) == 0
-        assert extent_overlap_pages([], 0, 8 * PAGE, PAGE) == 0
+        """Pages 0, 1 and 4 of one cache are resident; each space maps
+        a window of it (or of an empty cache) and its residency gauge
+        counts exactly the resident pages under its regions."""
+        vm = PagedVirtualMemory(memory_size=4 * MB)
+        cache = vm.cache_create(ZeroFillProvider(), name="shared")
+        for page in (0, 1, 4):
+            cache.write(page * PAGE, b"\x01")
+        empty = vm.cache_create(ZeroFillProvider(), name="empty")
+        layouts = [
+            ([(cache, 0, 8)], 3),
+            ([(cache, 1, 1)], 1),
+            ([(cache, 5, 1)], 0),
+            ([(empty, 0, 8)], 0),
+            ([(cache, 0, 2), (cache, 4, 2)], 3),   # two regions, one cache
+        ]
+        spaces = []
+        for index, (regions, _) in enumerate(layouts):
+            context = vm.context_create(f"window{index}")
+            for slot, (target, first, count) in enumerate(regions):
+                context.region_create(
+                    0x40000 + slot * 0x100000, count * PAGE,
+                    protection=Protection.RW, cache=target,
+                    offset=first * PAGE)
+            spaces.append(context.space)
+        gauges = vm.metrics_snapshot()["gauges"]
+        for space, (_, expected) in zip(spaces, layouts):
+            assert gauges[f"space.resident_pages{{space={space}}}"] \
+                == expected
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +216,9 @@ class TestBoardLedgers:
         assert gauges["psi.memory.some.avg10{space=5}"] \
             == pytest.approx(0.5)
 
-    def test_paused_registry_allocates_and_records_nothing(self):
+    def test_paused_registry_keeps_ledgers_writes_no_series(self):
+        # The balancer reads the ledgers and stall windows as policy
+        # inputs, so they must count whether or not metrics are paused.
         board, registry, clock = make_board()
         registry.enabled = False
         board.begin_task(1)
@@ -205,11 +230,19 @@ class TestBoardLedgers:
         board.eviction({2})
         board.end_task()
         board.publish()
-        assert board.accounts == {}
+        acct = board.accounts[1]
+        assert acct.faults_write == 1
+        assert acct.pull_bytes == 4 * PAGE
+        assert acct.evictions_caused == 1
+        assert acct.stall.total_ms == 9.0
+        assert board.accounts[2].evictions_suffered == 1
         assert board._tasks == []
-        assert board.some.total_ms == 0.0
+        assert board.some.total_ms == board.full.total_ms == 9.0
+        assert board.stall_counts == {"pull": 1, "throttle": 1}
         registry.enabled = True
-        assert registry.snapshot()["counters"] == {}
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {}
+        assert snapshot["gauges"] == {}
 
     def test_drop_space_zeroes_a_recycled_id(self):
         board, registry, _ = make_board()
