@@ -2,12 +2,9 @@
 their mechanism event counts (objects created, pages protected,
 pre-images pushed) — the structural cost of each scenario."""
 
-import pytest
-
 from repro.bench import costmodel
 from repro.bench.tables import format_series
 from repro.gmi.interface import CopyPolicy
-from repro.kernel.clock import CostEvent
 from repro.units import KB
 
 PAGE = 8 * KB

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from repro.errors import HardwareFault, PageFault, ProtectionViolation
 from repro.hardware.mmu import MMU, FaultRecord
 from repro.hardware.physmem import PhysicalMemory
-from repro.kernel import EventCounter
+from repro.kernel import Counter
 
 #: A fault handler resolves the fault (returns) or raises a kernel
 #: exception such as SegmentationFault / AccessViolation.
@@ -34,7 +34,7 @@ class MemoryBus:
         self.memory = memory
         self.mmu = mmu
         self.fault_handler = fault_handler
-        self.stats = EventCounter()
+        self.stats = Counter()
 
     def install_fault_handler(self, handler: FaultHandler) -> None:
         """Install the kernel's page-fault entry point."""

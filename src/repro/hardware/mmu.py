@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidOperation, PageFault, ProtectionViolation
-from repro.kernel import EventCounter
+from repro.kernel import Counter
 from repro.units import is_power_of_two
 
 
@@ -117,20 +117,10 @@ class MMU:
         self._next_space = 1
         self._live_spaces: set = set()
         self.tlb = tlb
-        #: Walk statistics.  Labeled by port so that, once bound into a
-        #: shared registry, each statistic appears both as the plain
+        #: Walk statistics.  A manager registers them with its metrics
+        #: registry labeled by port, so each appears both as the plain
         #: ``mmu.<name>`` rollup and as ``mmu.<name>{port=...}``.
-        self.stats = EventCounter(namespace="mmu.",
-                                  labels={"port": self.port_name})
-
-    def bind_registry(self, registry) -> None:
-        """Re-home the walk statistics (and the TLB's, if attached)
-        into *registry*, preserving accumulated counts.  Called when an
-        MMU built before its VM is adopted into the VM's shared metrics
-        registry."""
-        self.stats.rebind(registry)
-        if self.tlb is not None:
-            self.tlb.bind_registry(registry)
+        self.stats = Counter()
 
     # -- address-space lifecycle -----------------------------------------------
 

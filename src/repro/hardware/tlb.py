@@ -21,13 +21,13 @@ from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.hardware.mmu import Mapping
-from repro.kernel import EventCounter
+from repro.kernel import Counter
 
 
 class TLB:
     """Translation lookaside buffer: (space, vpn) -> Mapping, LRU."""
 
-    def __init__(self, entries: int = 64, registry=None):
+    def __init__(self, entries: int = 64):
         if entries <= 0:
             raise ValueError("TLB must have at least one entry")
         self.capacity = entries
@@ -38,12 +38,9 @@ class TLB:
         # Live keys per space: what an eager TLB would actually hold.
         self._space_keys: Dict[int, Set[Tuple[int, int]]] = {}
         self._live = 0
-        self.stats = EventCounter(registry=registry, namespace="tlb.")
-
-    def bind_registry(self, registry) -> None:
-        """Re-home the hit/miss counters into *registry* (preserving
-        counts), so a TLB built before its VM reports alongside it."""
-        self.stats.rebind(registry)
+        #: hit/miss/evict/shootdown/flush counts; a manager registers
+        #: them with its metrics registry as ``tlb.*``.
+        self.stats = Counter()
 
     def probe(self, space: int, vpn: int) -> Optional[Mapping]:
         """Look up a translation; None on miss."""
@@ -103,8 +100,8 @@ class TLB:
         mapped vpn; see ``MMU.walk_stats_mapped``).
 
         Counter totals, entry order and occupancy are bit-identical to
-        a per-vpn ``probe``/``fill`` loop; only the number of registry
-        increments differs.
+        a per-vpn ``probe``/``fill`` loop; only the number of counter
+        adds differs.
         """
         gen = self._space_gen.get(space, 0)
         space_gen_get = self._space_gen.get

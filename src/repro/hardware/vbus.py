@@ -55,7 +55,7 @@ from repro.errors import InvalidOperation
 from repro.fastpath import get_numpy
 from repro.hardware.bus import MemoryBus
 from repro.hardware.mmu import MMU, _READ_BIT, _SYSTEM_BIT, _WRITE_BIT
-from repro.kernel import EventCounter
+from repro.kernel import Counter
 
 #: Accesses classified per vectorized round (bounds temporary arrays).
 BATCH = 1 << 16
@@ -75,8 +75,8 @@ class VectorBus:
         stat-free :meth:`~repro.hardware.mmu.MMU.peek` probe and
         declare ``walk_stats_mapped``.
     registry:
-        Metrics registry for the ``vbus.*`` counters (None keeps them
-        private, like a bare ``EventCounter``).
+        Metrics registry that reads the ``vbus.*`` counts (None keeps
+        them private).  Duck-typed: only its ``register`` is called.
     use_numpy:
         Per-instance override of the :mod:`repro.fastpath` gate.
     """
@@ -93,7 +93,9 @@ class VectorBus:
                 "walk_stats_mapped; the vectorized bus cannot classify "
                 "against it")
         self._np = get_numpy(use_numpy)
-        self.stats = EventCounter(registry=registry, namespace="vbus.")
+        self.stats = Counter()
+        if registry is not None:
+            registry.register(self.stats, "vbus.")
 
     @property
     def backend(self) -> str:

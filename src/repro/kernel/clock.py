@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Iterable, Optional
 
-from repro.obs.metrics import EventCounter, MetricsRegistry
+from repro.kernel.counter import Counter
 
 
 class CostEvent(enum.Enum):
@@ -118,11 +118,10 @@ class VirtualClock:
 
     The clock also counts every charged event, so experiments can report
     both virtual milliseconds *and* raw mechanism counts (faults taken,
-    frames allocated, shadow objects created, ...).  Counts land in a
-    :class:`~repro.obs.metrics.MetricsRegistry` — by default a fresh
-    one, but a memory manager shares a single registry between its
-    clock, TLB, probe and reporting tools, which is what makes
-    ``vm.metrics_snapshot()`` one coherent document.
+    frames allocated, shadow objects created, ...).  The counts live in
+    the clock's own :class:`~repro.kernel.counter.Counter`; a memory
+    manager registers it with its metrics registry, which reads it
+    into ``vm.metrics_snapshot()``.
 
     Listeners registered with :meth:`add_listener` observe every charge
     as ``(time_before_charge_ms, event, count)``; the probe's per-span
@@ -130,12 +129,10 @@ class VirtualClock:
     charge path pays only an empty-tuple truth test.
     """
 
-    def __init__(self, model: Optional[CostModel] = None,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, model: Optional[CostModel] = None):
         self.model = model or CostModel()
         self._now_ms = 0.0
-        self.registry = registry or MetricsRegistry()
-        self.counter = EventCounter(registry=self.registry)
+        self.counter = Counter()
         self._listeners = ()
 
     # -- time ---------------------------------------------------------------
@@ -149,12 +146,7 @@ class VirtualClock:
         if count <= 0:
             return 0.0
         start = self._now_ms
-        counter = self.counter
-        if counter.registry.enabled:
-            # A paused registry drops the increment inside inc()
-            # anyway; skipping the whole view hop keeps the idle fast
-            # path to one attribute check per charge.
-            counter.add(event.value, count)
+        self.counter.add(event.value, count)
         cost = self.model.price(event) * count
         self._now_ms = start + cost
         if self._listeners:

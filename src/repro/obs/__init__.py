@@ -14,10 +14,11 @@ telemetry plane those counts flow through:
 * a :class:`Probe` facade that every component receives instead of
   reaching for its own counter bag.
 
-Every memory manager owns one registry, shared with its virtual clock:
-clock charges, TLB statistics, probe counters and span durations all
-land in the same place, so ``vm.metrics_snapshot()`` is the uniform
-JSON answer to "what did the mechanism do?" for all backends.
+Every memory manager owns one registry: probe counters and span
+durations are written into it, and the counters of its virtual clock,
+MMU port and TLB are registered with it and read at snapshot time, so
+``vm.metrics_snapshot()`` is the uniform JSON answer to "what did the
+mechanism do?" for all backends.
 
 Disabled probes are near-free: with the :data:`NULL_SINK` installed
 (the default) ``probe.span(...)`` returns one shared no-op object and

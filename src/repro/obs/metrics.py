@@ -16,15 +16,19 @@ consumer that predates labels (vmstat columns, snapshot schemas,
 new consumers can decompose the same cost by backend, MMU port,
 pipeline stage or segment.
 
-An :class:`EventCounter` is a component's namespaced view of a
-registry: the clock, the MMU ports, the TLB and the buses count their
-events through one.
+The clock, the MMU ports, the TLB and the vectorized bus keep their
+own counts (:class:`repro.kernel.counter.Counter`, plain ints, no
+lock).  A manager *registers* them here with a namespace and labels;
+the registry reads them only when asked — ``snapshot``,
+``counter_value``, ``counter_values``, ``labeled_counters`` — and
+presents each count as the series an increment of its own would have
+made, rollup included.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 
 def series_name(name: str, labels: Optional[Mapping[str, object]]) -> str:
@@ -135,9 +139,10 @@ class Histogram:
 class MetricsRegistry:
     """A thread-safe bag of named counters, gauges and histograms.
 
-    The *generation* number increments on every (partial or full)
-    counter reset; interval samplers compare generations to detect that
-    their baseline went stale (the ``VmStat`` resampling contract).
+    The *generation* number moves on every (partial or full) counter
+    reset, a registered counter's included; interval samplers compare
+    generations to detect that their baseline went stale (the
+    ``VmStat`` resampling contract).
     """
 
     def __init__(self):
@@ -148,15 +153,51 @@ class MetricsRegistry:
         #: series key -> base name, filled lazily so hot paths passing
         #: a precomputed ``name{k=v}`` key never re-split the string.
         self._series_base: Dict[str, str] = {}
-        self.generation = 0
-        #: When False the write paths (inc / set_gauge / observe)
-        #: return after a single attribute check: the idle fast path.
-        #: Every counter an event-heavy run would have produced is
-        #: simply absent, so pause a registry only around code whose
-        #: metrics nobody will read (``perf/``'s overhead measurement
-        #: pauses one side of each pair).  Pausing changes no policy:
-        #: the pressure board keeps its ledgers either way.
+        #: registered component counters: (counter, namespace, label
+        #: suffix), read at every counter read.
+        self._sources: List[Tuple[object, str, str]] = []
+        self._generation = 0
+        #: When False the registry's own write paths (inc / set_gauge /
+        #: observe) return after a single attribute check: the idle
+        #: fast path.  Pausing stops only those series writes: the
+        #: registered counters of the clock and the hardware keep
+        #: counting, and reads still see them.  Pause a registry only
+        #: around code whose probe metrics nobody will read
+        #: (``perf/``'s overhead measurement pauses one side of each
+        #: pair).  Pausing changes no policy: the pressure board keeps
+        #: its ledgers either way.
         self.enabled = True
+
+    @property
+    def generation(self) -> int:
+        """Moves on every reset of this registry or a registered
+        counter."""
+        return self._generation + sum(
+            counter.resets for counter, _, _ in self._sources)
+
+    def register(self, counter, namespace: str = "",
+                 labels: Optional[Mapping[str, object]] = None) -> None:
+        """Read *counter* (a :class:`repro.kernel.counter.Counter`) at
+        every counter read: its count ``name`` appears as the series
+        ``namespace + name`` carrying *labels*, plus the plain-name
+        rollup when labeled, exactly as :meth:`inc` would store it."""
+        suffix = series_name("", labels) if labels else ""
+        with self._lock:
+            self._sources.append((counter, namespace, suffix))
+
+    def _read_counters(self) -> Dict[str, int]:
+        """Own counters merged with every registered one (under the
+        lock)."""
+        counters = dict(self._counters)
+        get = counters.get
+        for counter, namespace, suffix in self._sources:
+            for name, value in counter.snapshot().items():
+                full = namespace + name
+                series = full + suffix
+                counters[series] = get(series, 0) + value
+                if suffix:
+                    counters[full] = get(full, 0) + value
+        return counters
 
     def _base_of(self, name: str) -> Optional[str]:
         """Base (rollup) name of a labeled series key, None when plain."""
@@ -197,22 +238,20 @@ class MetricsRegistry:
         """
         if labels:
             name = series_name(name, labels)
-        with self._lock:
-            return self._counters.get(name, 0)
+        return self.counter_values().get(name, 0)
 
     def counter_values(self) -> Dict[str, int]:
         """A copy of every counter (labeled series included)."""
         with self._lock:
-            return dict(self._counters)
+            return self._read_counters()
 
     def labeled_counters(self, name: str) -> Dict[str, int]:
         """Every labeled series of counter *name*, keyed by series."""
         prefix = name + "{"
-        with self._lock:
-            return {
-                key: value for key, value in self._counters.items()
-                if key.startswith(prefix)
-            }
+        return {
+            key: value for key, value in self.counter_values().items()
+            if key.startswith(prefix)
+        }
 
     def drop_counters(self, names: Iterable[str]) -> None:
         """Remove the given counters entirely (a scoped reset).
@@ -221,11 +260,19 @@ class MetricsRegistry:
         labeled series subtracts its value from the rollup, so the
         rollup stays the sum of what remains.  Dropped series leave the
         series-base cache too, so short-lived labels (a destroyed
-        space's ledger) do not accumulate there.  Bumps the generation
-        so samplers resample their baselines.
+        space's ledger) do not accumulate there.  A registered
+        counter loses the counts those series read.  Bumps the
+        generation so samplers resample their baselines.
         """
+        names = set(names)
         series_base = self._series_base
         with self._lock:
+            for counter, namespace, suffix in self._sources:
+                counts = counter.counts
+                for name in list(counts):
+                    full = namespace + name
+                    if full in names or full + suffix in names:
+                        del counts[name]
             for name in names:
                 base = self._base_of(name)
                 if base is not None:
@@ -245,7 +292,7 @@ class MetricsRegistry:
                             if key.startswith(prefix)]:
                     del self._counters[key]
                     series_base.pop(key, None)
-            self.generation += 1
+            self._generation += 1
 
     # -- gauges -------------------------------------------------------------
 
@@ -334,20 +381,23 @@ class MetricsRegistry:
     # -- lifecycle ----------------------------------------------------------
 
     def reset(self) -> None:
-        """Clear every metric; bump the generation."""
+        """Clear every metric, registered counters included; bump the
+        generation."""
         with self._lock:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
             self._series_base.clear()
-            self.generation += 1
+            for counter, _, _ in self._sources:
+                counter.reset()
+            self._generation += 1
 
     def snapshot(self) -> Dict[str, object]:
         """One atomic, JSON-serializable copy of everything."""
         with self._lock:
             return {
                 "generation": self.generation,
-                "counters": dict(self._counters),
+                "counters": self._read_counters(),
                 "gauges": dict(self._gauges),
                 "histograms": {
                     name: histogram.summary()
@@ -357,92 +407,9 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         with self._lock:
-            return (f"MetricsRegistry({len(self._counters)} counters, "
+            return (f"MetricsRegistry({len(self._read_counters())} "
+                    "counters, "
                     f"{len(self._gauges)} gauges, "
                     f"{len(self._histograms)} histograms, "
                     f"gen={self.generation})")
 
-
-class EventCounter:
-    """A bag of named integer counters: a namespaced registry view.
-
-    Each instance is a *namespaced view* of a registry: counters it
-    creates are remembered, and ``snapshot()`` / ``reset()`` touch only
-    those, so several components (clock events, TLB statistics, probe
-    counters) can share one registry without clobbering each other.
-
-    A view may also carry fixed *labels* (an MMU port's
-    ``{"port": "paged"}``): every counter it touches becomes a labeled
-    ``name{k=v}`` series, and the registry maintains the plain-name
-    rollup automatically, so one shared registry can hold the same
-    statistic decomposed across several components.
-
-    Constructed bare (``EventCounter()``) it owns a private registry
-    and behaves exactly like the original stand-alone counter bag.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 namespace: str = "",
-                 labels: Optional[Mapping[str, object]] = None):
-        self.registry = registry or MetricsRegistry()
-        self.namespace = namespace
-        self.labels = dict(labels) if labels else None
-        #: ``name{labels}`` suffix appended to every counter name.
-        self._suffix = series_name("", self.labels) if self.labels else ""
-        #: fully-qualified names this view has incremented.
-        self._owned: Set[str] = set()
-        #: short-name -> fully-qualified name memo; the add() hot path
-        #: (every clock charge goes through it) pays one dict get
-        #: instead of two string concatenations per call.
-        self._full_names: Dict[str, str] = {}
-
-    def _full(self, name: str) -> str:
-        return self.namespace + name + self._suffix
-
-    def add(self, name: str, count: int = 1) -> None:
-        """Increment counter *name* by *count*."""
-        full = self._full_names.get(name)
-        if full is None:
-            full = self._full_names[name] = self._full(name)
-            self._owned.add(full)
-        self.registry.inc(full, count)
-
-    def get(self, name: str) -> int:
-        """Current value of counter *name* (0 if never incremented)."""
-        return self.registry.counter_value(self._full(name))
-
-    def reset(self) -> None:
-        """Zero every counter of this view (others in the shared
-        registry are untouched); bumps the registry generation."""
-        self.registry.drop_counters(self._owned)
-        self._owned.clear()
-        self._full_names.clear()
-
-    def snapshot(self) -> Dict[str, int]:
-        """A copy of this view's counters, namespace stripped."""
-        values = self.registry.counter_values()
-        prefix = len(self.namespace)
-        return {
-            name[prefix:]: values[name]
-            for name in self._owned if name in values
-        }
-
-    def rebind(self, registry: MetricsRegistry) -> None:
-        """Move this view's counters into another registry.
-
-        Used when a component built before its manager (e.g. a TLB
-        handed to the constructor) is adopted into the manager's shared
-        registry: accumulated counts migrate so nothing is lost.
-        """
-        if registry is self.registry:
-            return
-        values = self.registry.counter_values()
-        self.registry.drop_counters(self._owned)
-        for name in self._owned:
-            if name in values and values[name]:
-                registry.inc(name, values[name])
-        self.registry = registry
-
-    def __repr__(self) -> str:
-        nonzero = {k: v for k, v in self.snapshot().items() if v}
-        return f"EventCounter({nonzero!r})"

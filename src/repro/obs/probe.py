@@ -1,8 +1,8 @@
 """The Probe: the one instrumentation facade components receive.
 
-Instead of each subsystem keeping its own counter bag (an
-``EventCounter`` here, a stats dataclass there, a wrapped clock in the
-tools), every component is handed a probe and speaks three verbs:
+Instead of each subsystem keeping its own counter bag (a stats
+dataclass here, a wrapped clock in the tools), every component above
+the hardware is handed a probe and speaks three verbs:
 
 * ``count(name)`` / ``gauge(name, v)`` / ``observe(name, v)`` —
   metrics, always on, landing in the shared

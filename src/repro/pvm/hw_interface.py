@@ -49,16 +49,10 @@ def build_physical_memory(memory_size: int, page_size: int) -> PhysicalMemory:
     return PhysicalMemory(memory_size, page_size)
 
 
-def build_mmu(page_size: int, tlb_entries: Optional[int] = None,
-              registry=None) -> MMU:
+def build_mmu(page_size: int, tlb_entries: Optional[int] = None) -> MMU:
     """Construct the default MMU port (two-level page tables), with an
-    optional TLB — walk and TLB statistics bound to the shared metrics
-    registry as ``mmu.*{port=...}`` / ``tlb.*`` series."""
-    tlb = TLB(tlb_entries, registry=registry) if tlb_entries else None
-    mmu = PagedMMU(page_size, tlb=tlb)
-    if registry is not None:
-        mmu.stats.rebind(registry)
-    return mmu
+    optional TLB."""
+    return PagedMMU(page_size, tlb=TLB(tlb_entries) if tlb_entries else None)
 
 
 def build_bus(memory: PhysicalMemory, mmu: MMU, fault_handler) -> MemoryBus:

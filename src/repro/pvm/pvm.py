@@ -90,18 +90,20 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
                  arbiter: Optional[FrameArbiter] = None):
         self.memory = memory or build_physical_memory(memory_size, page_size)
         self.clock = clock or VirtualClock()
-        if mmu is None:
-            mmu = build_mmu(self.memory.page_size, tlb_entries,
-                            registry=self.clock.registry)
-        else:
-            # An externally-built MMU brings its own walk (and TLB)
-            # statistics: adopt them into the shared registry.
-            mmu.bind_registry(self.clock.registry)
+        mmu = mmu or build_mmu(self.memory.page_size, tlb_entries)
         if mmu.page_size != self.memory.page_size:
             raise InvalidOperation("MMU and memory disagree on page size")
         self.mmu = mmu
-        self.probe = probe or Probe(registry=self.clock.registry)
+        self.probe = probe or Probe()
         self.probe.bind_clock(self.clock)
+        #: the manager's metrics registry: the probe writes into it;
+        #: the clock's, the MMU port's and the TLB's own counters are
+        #: registered with it and read at snapshot time.
+        self.registry = registry = self.probe.registry
+        registry.register(self.clock.counter)
+        registry.register(mmu.stats, "mmu.", {"port": mmu.port_name})
+        if mmu.tlb is not None:
+            registry.register(mmu.tlb.stats, "tlb.")
         #: the pressure observatory: per-space ledgers plus PSI-style
         #: stall windows.  Reads the clock, never charges it.
         self.pressure = PressureBoard(self.probe.registry, self.clock.now,
@@ -166,11 +168,6 @@ class PagedVirtualMemory(HistoryMixin, PerPageMixin, CacheOpsMixin,
     @policy.setter
     def policy(self, policy: EvictionPolicy) -> None:
         self.cache_engine.set_policy(policy)
-
-    @property
-    def registry(self):
-        """The shared metrics registry (clock, TLB, probe, tools)."""
-        return self.clock.registry
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """One uniform, JSON-serializable observability document.

@@ -19,7 +19,8 @@ Nine rules keep the stack honest — the same discipline the paper's
    neither ``repro.hardware`` nor any backend package.
 3. **Observability is passive.**  ``repro.obs`` (metrics, spans,
    trace export) is instrumentation the other layers call *into*; it
-   must not import backends or ``repro.hardware`` itself.
+   must not import backends or ``repro.hardware`` itself, not even
+   through a re-export.
 4. **The cache subsystem is backend-agnostic.**  ``repro.cache``
    (residency index, eviction policies, pull/push engine, mapper
    protocol) imports neither backends nor ``repro.hardware`` — it is
@@ -59,12 +60,19 @@ Nine rules keep the stack honest — the same discipline the paper's
    ``repro.units``, ``repro.kernel``, ``repro.extents`` and
    ``repro.fastpath``.  In particular no backend, engine, cache or
    observability import — the vectorized access path accelerates the
-   hardware walk, it must not know who manages the pages.
+   hardware walk, it must not know who manages the pages.  The rule
+   holds through re-exports: every module a hardware import executes
+   must be in the leaf set too (``repro.kernel`` counts in plain ints
+   and imports no ``repro.obs``).
 
 The check is static (``ast`` on the source tree, no imports executed)
 so a violation is caught even in modules no test happens to load.
-Run as a script (``python -m repro.tools.check_layers``) or through
-``tests/test_layer_contract.py`` (tier 1).
+Rules 3 and 9 follow each import through its static closure
+(:func:`import_closure`): every module the import executes, parent
+package ``__init__`` modules included, except the root ``repro``
+facade, which imports everything.  The other rules read direct
+imports.  Run as a script (``python -m repro.tools.check_layers``) or
+through ``tests/test_layer_contract.py`` (tier 1).
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from __future__ import annotations
 import ast
 import pathlib
 import sys
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: packages whose modules must not touch repro.hardware directly.
 BACKEND_PACKAGES = ("repro.pvm", "repro.mach", "repro.minimal")
@@ -80,40 +88,76 @@ BACKEND_PACKAGES = ("repro.pvm", "repro.mach", "repro.minimal")
 #: the one module allowed to import repro.hardware on their behalf.
 HARDWARE_GATE = "repro.pvm.hw_interface"
 
-#: prefixes the engine must never import.
-ENGINE_FORBIDDEN = BACKEND_PACKAGES + ("repro.hardware",)
-
-#: prefixes the observability layer must never import.
-OBS_FORBIDDEN = BACKEND_PACKAGES + ("repro.hardware",)
-
-#: prefixes the cache subsystem must never import.
-CACHE_FORBIDDEN = BACKEND_PACKAGES + ("repro.hardware",)
-
-#: the only repro.* prefixes mappers (repro.segments) may import.
-SEGMENTS_ALLOWED = ("repro.cache", "repro.segments", "repro.errors",
-                    "repro.units", "repro.kernel")
-
-#: prefixes the extent primitives must never import (they are a leaf
-#: shared across otherwise-unrelated layers).
-EXTENTS_FORBIDDEN = BACKEND_PACKAGES + ("repro.hardware", "repro.cache")
-
 #: the engine-internal scheduler module: only the ``repro.engine``
 #: facade may import it.
 IO_MODULE = "repro.engine.io"
 
-#: the pressure board: rule 3's bans plus the cache subsystem.
-PRESSURE_MODULE = "repro.obs.pressure"
+#: what the engine, observability and the cache may never import.
+UPPER_AND_LOWER = BACKEND_PACKAGES + ("repro.hardware",)
 
-#: the pressure-policy package: backends, hardware and the cache
-#: subsystem are all off limits (rule 8).
-POLICY_PACKAGE = "repro.pressure"
 
-POLICY_FORBIDDEN = BACKEND_PACKAGES + ("repro.hardware", "repro.cache")
+def _in(*prefixes):
+    """Predicate: the module is one of *prefixes* or under one."""
+    return lambda module: any(_under(module, prefix) for prefix in prefixes)
 
-#: the only repro.* prefixes hardware modules may import (rule 9):
-#: the hardware package itself plus the leaf/utility layers.
-HARDWARE_ALLOWED = ("repro.hardware", "repro.errors", "repro.units",
-                    "repro.kernel", "repro.extents", "repro.fastpath")
+
+def _outside(*allowed):
+    """Predicate: a ``repro`` module under none of *allowed*."""
+    return lambda module: _under(module, "repro") and not any(
+        _under(module, prefix) for prefix in allowed)
+
+
+#: (applies to importer, forbidden import, message, transitive) — in
+#: report order.
+RULES = (
+    # 1
+    (lambda module: _in(*BACKEND_PACKAGES)(module)
+        and module != HARDWARE_GATE,
+     _in("repro.hardware"),
+     f"backends must reach repro.hardware only through {HARDWARE_GATE}",
+     False),
+    # 2 and 6
+    (_in(IO_MODULE), _in(*UPPER_AND_LOWER),
+     "the I/O scheduler must not import backends or hardware", False),
+    (lambda module: _under(module, "repro.engine")
+        and not _under(module, IO_MODULE),
+     _in(*UPPER_AND_LOWER),
+     "repro.engine must not import backends or hardware", False),
+    (lambda module: not _under(module, "repro.engine"), _in(IO_MODULE),
+     "the I/O scheduler is engine-internal: go through the repro.engine "
+     "facade", False),
+    # 3
+    (_in("repro.obs"), _in(*UPPER_AND_LOWER),
+     "repro.obs must not import backends or hardware", True),
+    # 7
+    (_in("repro.obs.pressure"), _in("repro.cache"),
+     "repro.obs.pressure takes primitives, not cache objects: it must "
+     "not import repro.cache", False),
+    # 8
+    (_in("repro.pressure"), _in(*UPPER_AND_LOWER, "repro.cache"),
+     "repro.pressure decides over primitives: it must not import "
+     "backends, hardware or the cache subsystem", False),
+    # 4
+    (_in("repro.cache"), _in(*UPPER_AND_LOWER),
+     "repro.cache must not import backends or hardware", False),
+    # 5
+    (_in("repro.extents"), _in(*UPPER_AND_LOWER, "repro.cache"),
+     "repro.extents is a leaf: it must not import backends, hardware or "
+     "the cache subsystem", False),
+    # 9
+    (_in("repro.hardware"),
+     _outside("repro.hardware", "repro.errors", "repro.units",
+              "repro.kernel", "repro.extents", "repro.fastpath"),
+     "hardware is the bottom of the stack: it may import only "
+     "repro.hardware, repro.errors, repro.units, repro.kernel, "
+     "repro.extents and repro.fastpath", True),
+    # 4 (mappers)
+    (_in("repro.segments"),
+     _outside("repro.cache", "repro.segments", "repro.errors",
+              "repro.units", "repro.kernel"),
+     "mappers may depend only on the cache-subsystem interfaces "
+     "(repro.cache, repro.errors, repro.units, repro.kernel)", False),
+)
 
 
 def _module_name(path: pathlib.Path, src_root: pathlib.Path) -> str:
@@ -124,8 +168,11 @@ def _module_name(path: pathlib.Path, src_root: pathlib.Path) -> str:
     return ".".join(parts)
 
 
-def _imported_modules(tree: ast.AST, module: str) -> List[str]:
-    """Absolute module names imported anywhere in *tree*."""
+def _imported_modules(tree: ast.AST, module: str,
+                      known=()) -> List[str]:
+    """Absolute module names imported anywhere in *tree*; a name
+    ``from``-imported out of a package counts too when it is one of
+    the *known* modules."""
     found: List[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -141,11 +188,43 @@ def _imported_modules(tree: ast.AST, module: str) -> List[str]:
                 name = node.module or ""
             if name:
                 found.append(name)
+                found.extend(f"{name}.{alias.name}" for alias in node.names
+                             if f"{name}.{alias.name}" in known)
     return found
 
 
 def _under(module: str, prefix: str) -> bool:
     return module == prefix or module.startswith(prefix + ".")
+
+
+def import_graph(src_root) -> Dict[str, List[str]]:
+    """Every module under *src_root*'s ``repro`` and its direct
+    imports."""
+    src_root = pathlib.Path(src_root)
+    paths = {_module_name(path, src_root): path
+             for path in sorted(src_root.glob("repro/**/*.py"))}
+    return {
+        module: _imported_modules(
+            ast.parse(path.read_text(), filename=str(path)), module, paths)
+        for module, path in paths.items()
+    }
+
+
+def import_closure(graph: Dict[str, List[str]], roots) -> Set[str]:
+    """Every ``repro`` module that importing *roots* executes: each
+    one's imports, transitively, and its parent packages — except the
+    root ``repro`` facade, which imports everything."""
+    seen: Set[str] = set()
+    stack = list(roots)
+    while stack:
+        module = stack.pop()
+        if module in seen or module == "repro" \
+                or not _under(module, "repro"):
+            continue
+        seen.add(module)
+        stack.append(module.rpartition(".")[0])
+        stack.extend(graph.get(module, ()))
+    return seen
 
 
 def check_layers(src_root) -> List[Tuple[str, str, str]]:
@@ -154,108 +233,22 @@ def check_layers(src_root) -> List[Tuple[str, str, str]]:
     Returns violations as (module, imported, rule) triples; an empty
     list means the contract holds.
     """
-    src_root = pathlib.Path(src_root)
+    graph = import_graph(src_root)
     violations: List[Tuple[str, str, str]] = []
-    for path in sorted(src_root.glob("repro/**/*.py")):
-        module = _module_name(path, src_root)
-        tree = ast.parse(path.read_text(), filename=str(path))
-        imports = _imported_modules(tree, module)
-        if any(_under(module, pkg) for pkg in BACKEND_PACKAGES) \
-                and module != HARDWARE_GATE:
+    for module, imports in graph.items():
+        for applies, forbidden, message, transitive in RULES:
+            if not applies(module):
+                continue
             for imported in imports:
-                if _under(imported, "repro.hardware"):
-                    violations.append((
-                        module, imported,
-                        "backends must reach repro.hardware only "
-                        f"through {HARDWARE_GATE}",
-                    ))
-        if _under(module, "repro.engine"):
-            for imported in imports:
-                if any(_under(imported, banned)
-                       for banned in ENGINE_FORBIDDEN):
-                    violations.append((
-                        module, imported,
-                        "the I/O scheduler must not import backends "
-                        "or hardware" if _under(module, IO_MODULE)
-                        else "repro.engine must not import backends "
-                             "or hardware",
-                    ))
-        else:
-            for imported in imports:
-                if _under(imported, IO_MODULE):
-                    violations.append((
-                        module, imported,
-                        "the I/O scheduler is engine-internal: go "
-                        "through the repro.engine facade",
-                    ))
-        if _under(module, "repro.obs"):
-            for imported in imports:
-                if any(_under(imported, banned)
-                       for banned in OBS_FORBIDDEN):
-                    violations.append((
-                        module, imported,
-                        "repro.obs must not import backends or "
-                        "hardware",
-                    ))
-        if _under(module, PRESSURE_MODULE):
-            for imported in imports:
-                if _under(imported, "repro.cache"):
-                    violations.append((
-                        module, imported,
-                        "repro.obs.pressure takes primitives, not "
-                        "cache objects: it must not import repro.cache",
-                    ))
-        if _under(module, POLICY_PACKAGE):
-            for imported in imports:
-                if any(_under(imported, banned)
-                       for banned in POLICY_FORBIDDEN):
-                    violations.append((
-                        module, imported,
-                        "repro.pressure decides over primitives: it "
-                        "must not import backends, hardware or the "
-                        "cache subsystem",
-                    ))
-        if _under(module, "repro.cache"):
-            for imported in imports:
-                if any(_under(imported, banned)
-                       for banned in CACHE_FORBIDDEN):
-                    violations.append((
-                        module, imported,
-                        "repro.cache must not import backends or "
-                        "hardware",
-                    ))
-        if _under(module, "repro.extents"):
-            for imported in imports:
-                if any(_under(imported, banned)
-                       for banned in EXTENTS_FORBIDDEN):
-                    violations.append((
-                        module, imported,
-                        "repro.extents is a leaf: it must not import "
-                        "backends, hardware or the cache subsystem",
-                    ))
-        if _under(module, "repro.hardware"):
-            for imported in imports:
-                if _under(imported, "repro") and \
-                        not any(_under(imported, allowed)
-                                for allowed in HARDWARE_ALLOWED):
-                    violations.append((
-                        module, imported,
-                        "hardware is the bottom of the stack: it may "
-                        "import only repro.hardware, repro.errors, "
-                        "repro.units, repro.kernel, repro.extents and "
-                        "repro.fastpath",
-                    ))
-        if _under(module, "repro.segments"):
-            for imported in imports:
-                if _under(imported, "repro") and \
-                        not any(_under(imported, allowed)
-                                for allowed in SEGMENTS_ALLOWED):
-                    violations.append((
-                        module, imported,
-                        "mappers may depend only on the cache-"
-                        "subsystem interfaces (repro.cache, "
-                        "repro.errors, repro.units, repro.kernel)",
-                    ))
+                if forbidden(imported):
+                    violations.append((module, imported, message))
+                elif transitive:
+                    banned = sorted(filter(
+                        forbidden, import_closure(graph, [imported])))
+                    if banned:
+                        violations.append((
+                            module, imported,
+                            f"{message}; through it, {banned[0]}"))
     return violations
 
 

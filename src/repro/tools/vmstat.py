@@ -47,7 +47,7 @@ class VmStat:
 
     def __init__(self, vm):
         self.vm = vm
-        self.registry = vm.clock.registry
+        self.registry = vm.registry
         self.samples: List[Sample] = []
         self._generation = self.registry.generation
         self._last_counts = self.registry.counter_values()

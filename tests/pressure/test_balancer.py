@@ -6,8 +6,6 @@ through targeted reclaim, floor protection under QoS mode, thrash
 suspension through the admission gate, and teardown bookkeeping.
 """
 
-import pytest
-
 from repro.engine import AdmissionGate
 from repro.cache.provider import ZeroFillProvider
 from repro.gmi.types import Protection

@@ -11,10 +11,9 @@ If history trees, per-page stubs, the pageout path or the fault path
 ever disagree with copy semantics, this machine finds the sequence.
 """
 
-import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (
-    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+    RuleBasedStateMachine, initialize, invariant, rule,
 )
 
 from repro.gmi.interface import CopyPolicy

@@ -2,7 +2,7 @@
 dictionary model, and the frame allocator's conservation laws."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine, initialize, invariant, rule,
 )
@@ -13,6 +13,7 @@ from repro.hardware.inverted_mmu import InvertedMMU
 from repro.hardware.paged_mmu import PagedMMU
 from repro.hardware.mmu import Prot
 from repro.hardware.physmem import PhysicalMemory
+from tests.property import scaled_settings
 
 PAGE = 8 * 1024
 VPNS = 32
@@ -84,13 +85,12 @@ class MmuMachine(RuleBasedStateMachine):
 
 
 TestMmuModel = MmuMachine.TestCase
-TestMmuModel.settings = settings(max_examples=50, stateful_step_count=50,
-                                 deadline=None)
+TestMmuModel.settings = scaled_settings(50, 50)
 
 
 class TestFrameAllocatorProperties:
     @given(st.lists(st.booleans(), max_size=100))
-    @settings(max_examples=200, deadline=None)
+    @scaled_settings(200, 50)
     def test_conservation(self, script):
         """allocate/free in any order: counts always conserve, frames
         never double-allocated."""
@@ -111,7 +111,7 @@ class TestFrameAllocatorProperties:
             assert memory.free_frames == FRAMES - len(held)
 
     @given(st.data())
-    @settings(max_examples=100, deadline=None)
+    @scaled_settings(100, 50)
     def test_data_isolation_between_frames(self, data):
         """Writing one frame never disturbs another."""
         memory = PhysicalMemory(size=FRAMES * PAGE, page_size=PAGE)

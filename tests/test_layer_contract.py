@@ -21,7 +21,9 @@ nothing.
 import pathlib
 
 import repro
-from repro.tools.check_layers import check_layers, main
+from repro.tools.check_layers import (
+    check_layers, import_closure, import_graph, main,
+)
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parents[1]
 
@@ -45,6 +47,17 @@ class TestRealTree:
     def test_cli_entry_point_passes(self, capsys):
         assert main([str(SRC_ROOT)]) == 0
         assert "layer contract holds" in capsys.readouterr().out
+
+    def test_hardware_and_kernel_closures_hold_no_obs(self):
+        # Importing the hardware or the kernel substrate executes no
+        # observability module, not even through a re-export: the
+        # clock and the hardware count in plain ints.
+        graph = import_graph(SRC_ROOT)
+        for root in ("repro.hardware", "repro.kernel"):
+            closure = import_closure(graph, [root])
+            assert "repro.kernel.counter" in closure
+            assert [module for module in sorted(closure)
+                    if module.startswith("repro.obs")] == [], root
 
 
 class TestDetectsViolations:
@@ -295,9 +308,42 @@ class TestDetectsViolations:
                 "from repro.errors import InvalidOperation\n"
                 "from repro.fastpath import get_numpy\n"
                 "from repro.hardware.mmu import MMU\n"
-                "from repro.kernel import EventCounter\n"
+                "from repro.kernel import Counter\n"
                 "from repro.extents import RunMap\n"
             ),
+        })
+        assert check_layers(tmp_path) == []
+
+    def test_hardware_reaching_obs_through_a_reexport_fails(self, tmp_path):
+        # Rule 9 is transitive: repro.kernel is allowed, but a kernel
+        # that re-exports an obs class drags repro.obs into hardware.
+        _make_tree(tmp_path, {
+            "hardware/tlb.py": "from repro.kernel import Counter\n",
+            "kernel/__init__.py": "from repro.obs.metrics import Counter\n",
+            "obs/metrics.py": "Counter = dict\n",
+        })
+        violations = check_layers(tmp_path)
+        assert [(m, i) for m, i, _ in violations] == \
+            [("repro.hardware.tlb", "repro.kernel")]
+        assert "through it, repro.obs" in violations[0][2]
+
+    def test_obs_reaching_hardware_through_a_package_fails(self, tmp_path):
+        # Rule 3 is transitive too, and a package __init__ runs on
+        # import of any of its modules.
+        _make_tree(tmp_path, {
+            "obs/export.py": "from repro.gmi.types import Protection\n",
+            "gmi/__init__.py": "import repro.hardware.mmu\n",
+        })
+        violations = check_layers(tmp_path)
+        assert [(m, i) for m, i, _ in violations] == \
+            [("repro.obs.export", "repro.gmi.types")]
+
+    def test_the_root_facade_is_outside_the_closure(self, tmp_path):
+        # repro/__init__.py imports every layer; counting it would
+        # make every module reach everything.
+        _make_tree(tmp_path, {
+            "hardware/bus.py": "from repro.errors import HardwareFault\n",
+            "__init__.py": "import repro.obs\n",
         })
         assert check_layers(tmp_path) == []
 

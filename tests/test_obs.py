@@ -374,8 +374,8 @@ class TestVmIntegration:
         # Pipeline stages decompose by backend too.
         assert counters["engine.stage.locate{backend=pvm}"] == \
             counters["engine.stage.locate"]
-        # MMU walk statistics decompose by port (via the labeled
-        # EventCounter view), TLB-style, in the same shared registry.
+        # MMU walk statistics decompose by port (the MMU's counter is
+        # registered with a port label), TLB-style, in one registry.
         assert counters["mmu.walk_level1{port=paged}"] > 0
         assert counters["mmu.walk_level1"] == \
             counters["mmu.walk_level1{port=paged}"]
@@ -392,7 +392,7 @@ class TestVmIntegration:
 
     def test_mmu_port_stats_api_unchanged(self):
         # Consumers keep reading port statistics by bare name; the
-        # labeled storage is invisible through EventCounter.get().
+        # port label exists only in the registry's view of them.
         vm = PagedVirtualMemory(memory_size=4 * MB)
         self._touch(vm)
         assert vm.mmu.stats.get("walk_level1") == \
@@ -500,6 +500,50 @@ class TestVmStatResampling:
         vm.user_write(context, 0x40000 + PAGE, b"y")
         sample = stat.sample("after-drop")
         assert all(delta >= 0 for delta in sample.deltas.values())
+
+
+class TestPausedRegistry:
+    """Pausing the registry stops only its own series writes: the
+    clock and the hardware own their counts and keep them exact."""
+
+    def _run(self, enabled):
+        from repro.kernel.clock import CostEvent
+        vm = PagedVirtualMemory(memory_size=4 * MB, tlb_entries=16)
+        vm.registry.enabled = enabled
+        cache = vm.cache_create(ZeroFillProvider(), name="p")
+        context = vm.context_create("p")
+        context.region_create(0x40000, 8 * PAGE, protection=Protection.RW,
+                              cache=cache, offset=0)
+        context.switch()
+        for index in range(8):
+            vm.user_write(context, 0x40000 + index * PAGE, b"x")
+            assert vm.user_read(context, 0x40000 + index * PAGE, 1) == b"x"
+        tlb = vm.mmu.tlb
+        return (vm.bus.stats.get("faults"),
+                vm.clock.count(CostEvent.FAULT_DISPATCH),
+                tlb.stats.get("hit"), tlb.stats.get("miss"),
+                tlb.hit_rate(), vm.mmu.stats.snapshot())
+
+    def test_clock_and_hardware_count_while_paused(self):
+        paused = self._run(enabled=False)
+        assert paused == self._run(enabled=True)
+        faults, dispatched, hits, misses, hit_rate, _ = paused
+        assert faults == dispatched == 8
+        assert hits == 8 and misses == 16
+        assert hit_rate == pytest.approx(1 / 3)
+
+    def test_fork_workload_counts_while_paused(self):
+        from repro.bench.costmodel import chorus_nucleus
+        from repro.workloads.fork_workload import shell_pipeline
+
+        def metrics(enabled):
+            nucleus = chorus_nucleus()
+            nucleus.vm.registry.enabled = enabled
+            return shell_pipeline(nucleus, generations=4)
+
+        paused = metrics(False)
+        assert paused == metrics(True)
+        assert paused.lookup_hops > 0
 
 
 class TestWallStamps:
