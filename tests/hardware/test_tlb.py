@@ -56,6 +56,51 @@ class TestTLBStandalone:
         assert tlb.hit_rate() == pytest.approx(0.5)
 
 
+class TestRetireRun:
+    """The bulk TLB leg of a hit run (tests/property/
+    test_tlb_retire_run.py checks it against the scalar loop)."""
+
+    def test_thrashing_run_walks_at_most_capacity_times(self):
+        # Cycling over one page more than the TLB holds misses on
+        # every access, yet only the final entries are walked.
+        tlb = TLB(entries=64)
+        walks = []
+
+        def walk(vpn):
+            walks.append(vpn)
+            return Mapping(vpn, Prot.RW)
+
+        run = [index % 65 for index in range(16_384)]
+        assert tlb.retire_run(1, run, walk) == 16_384
+        assert len(walks) <= 64
+        assert tlb.stats.get("miss") == 16_384
+        assert tlb.stats.get("evict") == 16_384 - 64
+        assert tlb.occupancy == 64
+        assert list(tlb._entries) == [(1, vpn) for vpn in run[-64:]]
+
+    def test_hit_only_entries_keep_their_mapping(self):
+        tlb = TLB(entries=2)
+        old = Mapping(7, Prot.READ)
+        tlb.fill(1, 0, old)
+        assert tlb.retire_run(1, [0, 1, 0], lambda vpn: Mapping(9, Prot.RW)) \
+            == 1
+        assert tlb._entries[(1, 0)][0] is old
+        assert tlb._entries[(1, 1)][0] == Mapping(9, Prot.RW)
+
+    def test_eviction_sheds_the_stale_entries_ahead_of_it(self):
+        # [stale, a, b] and one miss: the scalar loop pops the stale
+        # entry on its way to evicting a, and keeps b.
+        tlb = TLB(entries=2)
+        tlb.fill(2, 0, Mapping(0, Prot.READ))
+        tlb.flush_space(2)
+        tlb.fill(1, 0, Mapping(1, Prot.READ))
+        tlb.fill(1, 1, Mapping(2, Prot.READ))
+        assert tlb.retire_run(1, [5], lambda vpn: Mapping(vpn, Prot.RW)) \
+            == 1
+        assert list(tlb._entries) == [(1, 1), (1, 5)]
+        assert tlb.stats.get("evict") == 1
+
+
 class TestTLBWithMMU:
     @pytest.fixture
     def rig(self):

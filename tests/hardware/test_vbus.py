@@ -96,6 +96,15 @@ class TestEngineGate:
         if numpy_available():
             assert VectorBus(bus, use_numpy=True).backend == "numpy"
 
+    def test_of_makes_one_vector_bus_per_engine(self, rig):
+        _, _, bus, _ = rig
+        python = VectorBus.of(bus, use_numpy=False)
+        assert VectorBus.of(bus, use_numpy=False) is python
+        assert python.backend == "python"
+        if numpy_available():
+            numpy = VectorBus.of(bus, use_numpy=True)
+            assert numpy is not python and numpy.backend == "numpy"
+
     @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
     def test_sparse_trace_defers_to_the_fallback(self, rig):
         # A page span wider than the dense-table budget makes the

@@ -15,12 +15,13 @@ numpy in CI (``REPRO_NO_NUMPY=1``).
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.bench.costmodel import SUN360_PAGE, chorus_nucleus
 from repro.fastpath import numpy_available
 from repro.hardware.vbus import VectorBus
 from repro.workloads.tracecomp import compile_trace
+from tests.property import scaled_settings
 
 PAGE = SUN360_PAGE
 PAGES = 24
@@ -67,7 +68,7 @@ def run(trace, vectorized, use_numpy=False):
 
 
 @pytest.mark.parametrize("use_numpy", ENGINES)
-@settings(max_examples=60, deadline=None)
+@scaled_settings(60, 50)
 @given(trace=traces)
 def test_vectorized_replay_is_scalar_replay(use_numpy, trace):
     scalar = run(trace, vectorized=False)

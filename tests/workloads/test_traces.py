@@ -121,3 +121,17 @@ class TestVectorizedReplay:
                vectorized=True)
         registry = nucleus.vm.probe.registry
         assert registry.gauge_value("trace.accesses") == 120.0
+
+    def test_repeated_replays_share_one_vbus_source(self):
+        # Each vectorized replay on one manager reuses its bus's
+        # VectorBus, so the registry reads one vbus counter however
+        # many replays ran, and its totals cover all of them.
+        nucleus = costmodel.chorus_nucleus(memory_size=32 * PAGE)
+        registry = nucleus.vm.probe.registry
+        for seed in range(3):
+            replay(nucleus, loop_trace(8, 40, seed=seed), pages=8,
+                   vectorized=True)
+        vbus_sources = [counter for counter, namespace, _
+                        in registry._sources if namespace == "vbus."]
+        assert len(vbus_sources) == 1
+        assert registry.counter_value("vbus.replays") == 3
